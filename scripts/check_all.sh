@@ -3,8 +3,8 @@
 # analysis (text findings, then the machine-readable JSON surface, the
 # suppression audit and the include-layering DAG), the cnt-fuzz ingest
 # wall, the results regression check, the perf wall (ctest -L perf +
-# BENCH_*.json gating), and the cnt-crash crash-consistency wall, in
-# that order.
+# BENCH_*.json gating), the cnt-crash crash-consistency wall, the
+# cnt-chaos hung-work wall and the perfbench self-tests, in that order.
 #
 #   scripts/check_all.sh [build_dir] [results.json]
 #
@@ -33,13 +33,13 @@ die() {
 [ -d "$build_dir" ] || die "build directory not found: $build_dir (run: cmake --preset default && cmake --build --preset default)"
 
 # --- leg 1: documentation drift -------------------------------------------
-say "[1/8] scripts/check_docs.sh"
+say "[1/9] scripts/check_docs.sh"
 scripts/check_docs.sh || fail=1
 
 # --- leg 2: cnt-lint over the whole tree ----------------------------------
 lint_bin="$build_dir/tools/cnt-lint/cnt-lint"
 [ -x "$lint_bin" ] || die "cnt-lint binary not found: $lint_bin (build the default preset first)"
-say "[2/8] cnt-lint src bench examples tests tools"
+say "[2/9] cnt-lint src bench examples tests tools"
 "$lint_bin" src bench examples tests tools --exclude=tests/lint/fixtures || fail=1
 
 # --- leg 3: lint JSON surface, suppression audit, include DAG -------------
@@ -48,7 +48,7 @@ say "[2/8] cnt-lint src bench examples tests tools"
 # a finding; the DAG dump exits non-zero on an include-layer cycle. The
 # fixture exclusion matters for the graph too: the R8 fixture's
 # deliberate cache->sim back-edge would otherwise close a cycle.
-say "[3/8] cnt-lint --format=json / --report-unused-suppressions / --dump-include-graph=dot"
+say "[3/9] cnt-lint --format=json / --report-unused-suppressions / --dump-include-graph=dot"
 "$lint_bin" --format=json src bench examples tests tools --exclude=tests/lint/fixtures \
   | python3 -c 'import json,sys; r = json.load(sys.stdin); sys.exit(0 if r["schema"] == "cnt-lint-v1" and r["count"] == 0 else 1)' || fail=1
 "$lint_bin" --report-unused-suppressions src bench examples tests tools --exclude=tests/lint/fixtures || fail=1
@@ -58,11 +58,11 @@ say "[3/8] cnt-lint --format=json / --report-unused-suppressions / --dump-includ
 # --- leg 4: deterministic fuzz wall over every ingest parser --------------
 fuzz_bin="$build_dir/tools/cnt-fuzz/cnt-fuzz"
 [ -x "$fuzz_bin" ] || die "cnt-fuzz binary not found: $fuzz_bin (build the default preset first)"
-say "[4/8] cnt-fuzz --target all --seed 1 --runs 2000 --check-corpus"
+say "[4/9] cnt-fuzz --target all --seed 1 --runs 2000 --check-corpus"
 "$fuzz_bin" --corpus-root tests/fuzz/corpus --target all --seed 1 --runs 2000 --check-corpus || fail=1
 
 # --- leg 5: results regression gate ---------------------------------------
-say "[5/8] scripts/check_regression.py"
+say "[5/9] scripts/check_regression.py"
 if [ -n "$results_json" ]; then
   [ -e "$results_json" ] || die "results file not found: $results_json"
   python3 scripts/check_regression.py "$results_json" || fail=1
@@ -92,7 +92,7 @@ fi
 # only catches order-of-magnitude regressions, not machine-load noise.
 replay_bin="$build_dir/bench/bench_perf_stream_replay"
 [ -x "$replay_bin" ] || die "bench_perf_stream_replay binary not found: $replay_bin (build the default preset first)"
-say "[6/8] ctest -L perf (+ check_regression.py --min-aps 20000)"
+say "[6/9] ctest -L perf (+ check_regression.py --min-aps 20000)"
 if ctest --test-dir "$build_dir" -L perf --output-on-failure >/dev/null 2>&1; then
   python3 scripts/check_regression.py "$build_dir/results/BENCH_stream_replay.json" --min-aps 20000 || fail=1
   python3 scripts/check_regression.py "$build_dir/results/BENCH_kernels.json" --min-aps 20000 || fail=1
@@ -109,7 +109,7 @@ fi
 # seeds vary the kill index per site; the whole sweep is sub-second.
 crash_bin="$build_dir/tools/cnt-crash/cnt-crash"
 [ -x "$crash_bin" ] || die "cnt-crash binary not found: $crash_bin (build the default preset first)"
-say "[7/8] cnt-crash --seeds 3"
+say "[7/9] cnt-crash --seeds 3"
 "$crash_bin" --out "$build_dir/crash_wall_sweep" --seeds 3 || fail=1
 
 # --- leg 8: hung-work chaos wall --------------------------------------------
@@ -119,11 +119,20 @@ say "[7/8] cnt-crash --seeds 3"
 # exact quarantine reporting and byte-identical --resume recovery.
 chaos_bin="$build_dir/tools/cnt-chaos/cnt-chaos"
 [ -x "$chaos_bin" ] || die "cnt-chaos binary not found: $chaos_bin (build the default preset first)"
-say "[8/8] cnt-chaos --seeds 3"
+say "[8/9] cnt-chaos --seeds 3"
 "$chaos_bin" --out "$build_dir/chaos_wall_sweep" --seeds 3 || fail=1
+
+# --- leg 9: benchmark self-tests -------------------------------------------
+# Tiny runs of every perfbench workload (perfbench/README.md): each must
+# reproduce its recorded output digest, a wrong expected digest must be
+# reported as incorrect, and an engine override in the environment must be
+# refused. A change that alters any simulated output fails here, before
+# review. perfbench builds its own binary from src/ into .bench_build/.
+say "[9/9] python3 perfbench/selftest.py"
+python3 perfbench/selftest.py || fail=1
 
 if [ "$fail" -ne 0 ]; then
   echo "check_all: FAILED" >&2
   exit 1
 fi
-say "OK (docs, lint, lint-json/audit/DAG, fuzz, regression, perf, crash wall, chaos wall all green)"
+say "OK (docs, lint, lint-json/audit/DAG, fuzz, regression, perf, crash wall, chaos wall, perfbench self-tests all green)"

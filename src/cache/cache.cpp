@@ -68,6 +68,8 @@ Cache::Cache(CacheConfig cfg, MemoryLevel& next)
   mru_way_.assign(cfg_.sets(), 0);
   scratch_before_.assign(line_bytes_, 0);
   zeros_.assign(line_bytes_, 0);
+  ones_after_.assign(line_bytes_ / 8, 0);
+  ones_before_.assign(line_bytes_ / 8, 0);
 }
 
 void Cache::add_sink(AccessSink& sink) { sinks_.push_back(&sink); }
@@ -319,7 +321,25 @@ u32 Cache::probe_tags(u32 set, u64 tag, AccessEvent& ev) const {
   return hit;
 }
 
-void Cache::emit(const AccessEvent& ev) {
+// cnt-hot
+void Cache::emit(AccessEvent& ev) {
+  if (sinks_.empty()) return;
+  // Profiles are taken here, after every mutation of the access (stores,
+  // fault-hook corruption of the stored line, victim read-out), so they
+  // describe exactly the spans the sinks see.
+  if (ev.line_after.empty()) {
+    ev.ones_after = {};
+    ev.ones_after_total = 0;
+  } else {
+    ev.ones_after_total = fill_ones_profile(ev.line_after, ones_after_.data());
+    ev.ones_after = ones_after_;
+  }
+  if (ev.evicted_dirty) {
+    fill_ones_profile(ev.line_before, ones_before_.data());
+    ev.ones_before = ones_before_;
+  } else {
+    ev.ones_before = {};
+  }
   for (auto* s : sinks_) s->on_access(ev);
 }
 

@@ -147,7 +147,10 @@ class Cache final : public MemoryLevel {
   /// the tag-array read on `ev` (bits + stored ones). Returns the hit way,
   /// or ways_ on a miss.
   [[nodiscard]] u32 probe_tags(u32 set, u64 tag, AccessEvent& ev) const;
-  void emit(const AccessEvent& ev);
+  /// Fill the event's ones profile (see AccessEvent) and broadcast it.
+  /// With no sink attached there is nobody to read the profile, so both
+  /// steps are skipped.
+  void emit(AccessEvent& ev);
 
   // Downstream traffic helpers: when the next level is the backing store
   // itself (the common single-level topology), call it through a concrete
@@ -238,6 +241,10 @@ class Cache final : public MemoryLevel {
   // unobservable (every consumer is gated on evicted_dirty), so the copy
   // it used to cost is skipped.
   std::vector<u8> zeros_;
+  // Preallocated backing for the event ones profiles (one count per
+  // 8-byte word), so filling them never allocates on the hot path.
+  std::vector<u8> ones_after_;
+  std::vector<u8> ones_before_;
 };
 
 }  // namespace cnt

@@ -15,7 +15,7 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
   switch (ev.kind) {
     case AccessKind::kReadHit:
       ledger_.charge(EnergyCategory::kDataRead,
-                     line_energy_.read(popcount(ev.line_after)));
+                     line_energy_.read(ev.ones_after_total));
       charge_output(transfer_bits(ev));
       break;
 
@@ -23,8 +23,9 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
       const auto [lo, hi] = written_bit_range(ev);
       ledger_.charge(EnergyCategory::kDataWrite,
                      write_energy_counts(tech_.cell, hi - lo,
-                                         popcount_range(ev.line_after, lo,
-                                                        hi)));
+                                         profile_ones_range(ev.line_after,
+                                                            ev.ones_after, lo,
+                                                            hi)));
       charge_output(transfer_bits(ev));
       break;
     }
@@ -38,7 +39,7 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
         Energy rd{};
         usize dirty_bits = 0;
         for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          rd += word_energy_.read(popcount_range(ev.line_before, lo, hi));
+          rd += word_energy_.read(ev.ones_before[lo / 64]);
           dirty_bits += hi - lo;
         });
         ledger_.charge(EnergyCategory::kDataRead, rd);
@@ -47,7 +48,7 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
       // Fill write (a second/third array operation).
       charge_decode();
       ledger_.charge(EnergyCategory::kDataWrite,
-                     line_energy_.write(popcount(ev.line_after)));
+                     line_energy_.write(ev.ones_after_total));
       charge_tag_write(ev);
       charge_output(array_.geometry().line_bits());
       break;
@@ -65,16 +66,12 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
   charge_ecc(ev);
 
   const usize line_bits = array_.geometry().line_bits();
-  const auto& cell = tech_.cell;
   // Stored image is the complement: stored ones = L - logical ones.
-  const auto inv_ones = [&](std::span<const u8> line) {
-    return line_bits - popcount(line);
-  };
+  const usize inv_ones = line_bits - ev.ones_after_total;
 
   switch (ev.kind) {
     case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead,
-                     read_energy_counts(cell, line_bits, inv_ones(ev.line_after)));
+      ledger_.charge(EnergyCategory::kDataRead, line_energy_.read(inv_ones));
       ledger_.charge(EnergyCategory::kEncoderLogic,
                      static_cast<double>(line_bits) *
                          tech_.periph.encoder_per_bit);
@@ -83,9 +80,10 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
 
     case AccessKind::kWriteHit: {
       const auto [lo, hi] = written_bit_range(ev);
-      const usize ones = (hi - lo) - popcount_range(ev.line_after, lo, hi);
+      const usize ones =
+          (hi - lo) - profile_ones_range(ev.line_after, ev.ones_after, lo, hi);
       ledger_.charge(EnergyCategory::kDataWrite,
-                     write_energy_counts(cell, hi - lo, ones));
+                     write_energy_counts(tech_.cell, hi - lo, ones));
       ledger_.charge(EnergyCategory::kEncoderLogic,
                      static_cast<double>(line_bits) *
                          tech_.periph.encoder_per_bit);
@@ -100,9 +98,7 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
         Energy rd{};
         usize dirty_bits = 0;
         for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          const usize ones =
-              (hi - lo) - popcount_range(ev.line_before, lo, hi);
-          rd += read_energy_counts(cell, hi - lo, ones);
+          rd += word_energy_.read((hi - lo) - ev.ones_before[lo / 64]);
           dirty_bits += hi - lo;
         });
         ledger_.charge(EnergyCategory::kDataRead, rd);
@@ -112,9 +108,7 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
         charge_output(dirty_bits);
       }
       charge_decode();
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     write_energy_counts(cell, line_bits,
-                                         inv_ones(ev.line_after)));
+      ledger_.charge(EnergyCategory::kDataWrite, line_energy_.write(inv_ones));
       ledger_.charge(EnergyCategory::kEncoderLogic,
                      static_cast<double>(line_bits) *
                          tech_.periph.encoder_per_bit);
@@ -128,34 +122,50 @@ void StaticInvertPolicy::on_access(const AccessEvent& ev) {
   }
 }
 
+IdealPolicy::MinEnergyByOnes::MinEnergyByOnes(const BitEnergies& e,
+                                              usize width)
+    : read_(width + 1), write_(width + 1) {
+  for (usize ones = 0; ones <= width; ++ones) {
+    read_[ones] = std::min(read_energy_counts(e, width, ones),
+                           read_energy_counts(e, width, width - ones));
+    write_[ones] = std::min(write_energy_counts(e, width, ones),
+                            write_energy_counts(e, width, width - ones));
+  }
+}
+
 IdealPolicy::IdealPolicy(std::string name, const TechParams& tech,
                          const ArrayGeometry& geom, usize partitions,
                          WriteGranularity wg)
     : EnergyPolicyBase(std::move(name), tech, geom, wg),
-      scheme_(geom.line_bytes, partitions) {}
+      scheme_(geom.line_bytes, partitions),
+      part_min_(tech.cell, scheme_.partition_bits()),
+      word_min_(tech.cell, 64) {}
 
-Energy IdealPolicy::best_read(std::span<const u8> line) const {
+Energy IdealPolicy::best_read(const AccessEvent& ev) const {
   Energy total{};
-  const usize pb = scheme_.partition_bits();
   for (usize p = 0; p < scheme_.partitions(); ++p) {
-    const usize ones = stored_partition_ones(scheme_, line, p, false);
-    total += std::min(read_energy_counts(tech_.cell, pb, ones),
-                      read_energy_counts(tech_.cell, pb, pb - ones));
+    total += part_min_.read(
+        profile_partition_ones(scheme_, ev.line_after, ev.ones_after, p));
   }
   return total;
 }
 
-Energy IdealPolicy::best_write(std::span<const u8> line, usize bit_lo,
+Energy IdealPolicy::best_write(const AccessEvent& ev, usize bit_lo,
                                usize bit_hi) const {
   Energy total{};
-  for (usize p = 0; p < scheme_.partitions(); ++p) {
+  const usize pb = scheme_.partition_bits();
+  const usize last_p = (bit_hi + pb - 1) / pb;
+  for (usize p = bit_lo / pb; p < last_p; ++p) {
     const usize lo = std::max(bit_lo, scheme_.bit_begin(p));
     const usize hi = std::min(bit_hi, scheme_.bit_end(p));
-    if (lo >= hi) continue;
     const usize width = hi - lo;
-    const usize ones = popcount_range(line, lo, hi);
-    total += std::min(write_energy_counts(tech_.cell, width, ones),
-                      write_energy_counts(tech_.cell, width, width - ones));
+    const usize ones = profile_ones_range(ev.line_after, ev.ones_after, lo, hi);
+    if (width == pb) {
+      total += part_min_.write(ones);
+    } else {
+      total += std::min(write_energy_counts(tech_.cell, width, ones),
+                        write_energy_counts(tech_.cell, width, width - ones));
+    }
   }
   return total;
 }
@@ -167,14 +177,13 @@ void IdealPolicy::on_access(const AccessEvent& ev) {
 
   switch (ev.kind) {
     case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead, best_read(ev.line_after));
+      ledger_.charge(EnergyCategory::kDataRead, best_read(ev));
       charge_output(transfer_bits(ev));
       break;
 
     case AccessKind::kWriteHit: {
       const auto [lo, hi] = written_bit_range(ev);
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     best_write(ev.line_after, lo, hi));
+      ledger_.charge(EnergyCategory::kDataWrite, best_write(ev, lo, hi));
       charge_output(transfer_bits(ev));
       break;
     }
@@ -186,19 +195,15 @@ void IdealPolicy::on_access(const AccessEvent& ev) {
         Energy rd{};
         usize dirty_bits = 0;
         for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          const usize width = hi - lo;
-          const usize ones = popcount_range(ev.line_before, lo, hi);
-          rd += std::min(read_energy_counts(tech_.cell, width, ones),
-                         read_energy_counts(tech_.cell, width, width - ones));
-          dirty_bits += width;
+          rd += word_min_.read(ev.ones_before[lo / 64]);
+          dirty_bits += hi - lo;
         });
         ledger_.charge(EnergyCategory::kDataRead, rd);
         charge_output(dirty_bits);
       }
       charge_decode();
       ledger_.charge(EnergyCategory::kDataWrite,
-                     best_write(ev.line_after, 0,
-                                array_.geometry().line_bits()));
+                     best_write(ev, 0, array_.geometry().line_bits()));
       charge_tag_write(ev);
       charge_output(array_.geometry().line_bits());
       break;

@@ -3,6 +3,8 @@
 // the unattainable per-access oracle.
 #pragma once
 
+#include <vector>
+
 #include "cnt/encoding.hpp"
 #include "cnt/policy_base.hpp"
 #include "energy/sram_cell.hpp"
@@ -39,9 +41,17 @@ class StaticInvertPolicy final : public EnergyPolicyBase {
   StaticInvertPolicy(std::string name, const TechParams& tech,
                      const ArrayGeometry& geom,
                      WriteGranularity wg = WriteGranularity::kWord)
-      : EnergyPolicyBase(std::move(name), tech, geom, wg) {}
+      : EnergyPolicyBase(std::move(name), tech, geom, wg),
+        line_energy_(tech.cell, geom.line_bytes * 8),
+        word_energy_(tech.cell, 64) {}
 
   void on_access(const AccessEvent& ev) override;
+
+ private:
+  // Same lookup tables as PlainPolicy, indexed by the *stored* (inverted)
+  // '1' count.
+  EnergyByOnes line_energy_;
+  EnergyByOnes word_energy_;
 };
 
 /// Unattainable upper bound: every individual access magically uses the
@@ -57,13 +67,37 @@ class IdealPolicy final : public EnergyPolicyBase {
   void on_access(const AccessEvent& ev) override;
 
  private:
-  [[nodiscard]] Energy best_read(std::span<const u8> line) const;
-  /// Cheapest possible write of the bit range [lo, hi), choosing the better
-  /// of raw/inverted independently per overlapped partition.
-  [[nodiscard]] Energy best_write(std::span<const u8> line, usize bit_lo,
+  /// Cheaper of raw/inverted for fields of one fixed width, indexed by the
+  /// raw '1' count: entry n is std::min of read_/write_energy_counts at n
+  /// and width - n, so a lookup is the bit-identical double the formulas
+  /// give.
+  class MinEnergyByOnes {
+   public:
+    MinEnergyByOnes(const BitEnergies& e, usize width);
+    [[nodiscard]] Energy read(usize ones) const noexcept {
+      return read_[ones];
+    }
+    [[nodiscard]] Energy write(usize ones) const noexcept {
+      return write_[ones];
+    }
+
+   private:
+    std::vector<Energy> read_;
+    std::vector<Energy> write_;
+  };
+
+  /// Best read of the whole line (every partition at its cheaper
+  /// direction), from the event's ones profile.
+  [[nodiscard]] Energy best_read(const AccessEvent& ev) const;
+  /// Cheapest possible write of the bit range [lo, hi) of line_after,
+  /// choosing the better of raw/inverted independently per overlapped
+  /// partition.
+  [[nodiscard]] Energy best_write(const AccessEvent& ev, usize bit_lo,
                                   usize bit_hi) const;
 
   PartitionScheme scheme_;
+  MinEnergyByOnes part_min_;  ///< one whole partition
+  MinEnergyByOnes word_min_;  ///< one 64-bit dirty word
 };
 
 }  // namespace cnt

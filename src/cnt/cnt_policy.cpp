@@ -136,14 +136,14 @@ void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
                      flip_aware_write_cost(ev.line_before, ev.line_after,
                                            dirs, bit_lo, bit_hi));
     } else {
-      const usize ones = stored_ones_range(predictor_.scheme(), ev.line_after,
-                                           dirs, bit_lo, bit_hi);
+      const usize ones =
+          stored_ones_range(predictor_.scheme(), ev.line_after, ev.ones_after,
+                            dirs, bit_lo, bit_hi);
       ledger_.charge(EnergyCategory::kDataWrite,
                      write_energy_counts(tech_.cell, bit_hi - bit_lo, ones));
     }
   } else {
-    ledger_.charge(EnergyCategory::kDataRead,
-                   stored_read_cost(ev.line_after, dirs));
+    ledger_.charge(EnergyCategory::kDataRead, stored_read_cost(ev, dirs));
   }
   charge_encoder_pass();
   charge_output(transfer_bits(ev));
@@ -166,8 +166,10 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
       Energy rd{};
       usize dirty_bits = 0;
       for_each_dirty_word(ev, [&](usize lo, usize hi) {
-        rd += word_energy_.read(stored_ones_range(
-            predictor_.scheme(), ev.line_before, dirs, lo, hi));
+        rd += word_energy_.read(stored_ones_range(predictor_.scheme(),
+                                                  ev.line_before,
+                                                  ev.ones_before, dirs, lo,
+                                                  hi));
         dirty_bits += hi - lo;
       });
       ledger_.charge(EnergyCategory::kDataRead, rd);
@@ -187,11 +189,7 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
   st.pending = false;
   st.hist = HistoryCounters{};
   st.write_filled = ev.kind == AccessKind::kWriteMissFill;
-  // One sweep yields every partition's raw count; their sum is the line's
-  // popcount, so the zero-line test rides along for free.
-  usize raw_ones[64];
-  const usize total_ones = partition_ones_of(ev.line_after, raw_ones);
-  st.zero_flag = cfg_.zero_line_opt && total_ones == 0;
+  st.zero_flag = cfg_.zero_line_opt && ev.ones_after_total == 0;
 
   if (st.zero_flag) {
     // Zero-line elision: the flag is authoritative; skip the array write.
@@ -204,6 +202,8 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
     return;
   }
 
+  usize raw_ones[64];
+  partition_ones_of(ev, raw_ones);
   const Energy fill_cost = fill_write_cost(
       std::span<const usize>(raw_ones, predictor_.scheme().partitions()),
       ev.kind == AccessKind::kWriteMissFill, st.directions);
@@ -222,7 +222,7 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
   if (!st.zero_flag) {
     // A store that zeroes the whole line arms the flag: from then on the
     // array contents are ignored, so nothing needs to be written.
-    if (is_write && popcount(ev.line_after) == 0) {
+    if (is_write && ev.ones_after_total == 0) {
       st.zero_flag = true;
       ++stats_.zero_fills;
       charge_meta_history_write(history_of(ev.set, st));  // flag + counters
@@ -239,8 +239,7 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
     return true;
   }
 
-  usize raw_ones[64];
-  if (partition_ones_of(ev.line_after, raw_ones) == 0) {
+  if (ev.ones_after_total == 0) {
     // Still all-zero after the store: nothing to materialize.
     charge_output(transfer_bits(ev));
     return true;
@@ -251,6 +250,8 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
   // The original fill's miss type still carries the usage prediction.
   st.zero_flag = false;
   ++stats_.zero_materializations;
+  usize raw_ones[64];
+  partition_ones_of(ev, raw_ones);
   const Energy materialize_cost = fill_write_cost(
       std::span<const usize>(raw_ones, predictor_.scheme().partitions()),
       st.write_filled, st.directions);
@@ -270,8 +271,16 @@ void CntPolicy::run_predictor(const AccessEvent& ev, LineState& st,
                  tech_.periph.predictor_update);
 
   HistoryCounters& hist = history_of(ev.set, st);
+  // The partition counts are read only when this access closes a window.
+  const auto& scheme = predictor_.scheme();
+  usize raw_ones[64];
+  std::span<const usize> counts;
+  if (predictor_.window_closes(hist)) {
+    partition_ones_of(ev, raw_ones);
+    counts = std::span<const usize>(raw_ones, scheme.partitions());
+  }
   const PredictorDecision d =
-      predictor_.on_access(hist, st.directions, is_write, ev.line_after);
+      predictor_.on_access(hist, st.directions, is_write, counts);
 
   // The updated (or reset) counters are written back to the H field.
   charge_meta_history_write(hist);
@@ -294,12 +303,11 @@ void CntPolicy::run_predictor(const AccessEvent& ev, LineState& st,
   // of decision time) and enqueue.
   const u64 changed = st.directions ^ d.new_directions;
   Energy write_cost{};
-  const auto& scheme = predictor_.scheme();
+  const usize pb = scheme.partition_bits();
   for (usize p = 0; p < scheme.partitions(); ++p) {
     if (!((changed >> p) & 1u)) continue;
     const bool new_dir = (d.new_directions >> p) & 1u;
-    const usize ones = stored_partition_ones(scheme, ev.line_after, p, new_dir);
-    write_cost += part_energy_.write(ones);
+    write_cost += part_energy_.write(new_dir ? pb - raw_ones[p] : raw_ones[p]);
   }
 
   ReencodeRequest req;
@@ -321,15 +329,13 @@ void CntPolicy::run_predictor(const AccessEvent& ev, LineState& st,
   }
 }
 
-usize CntPolicy::partition_ones_of(std::span<const u8> line,
-                                   usize* ones_out) const {
+void CntPolicy::partition_ones_of(const AccessEvent& ev,
+                                  usize* ones_out) const {
   const auto& scheme = predictor_.scheme();
-  usize total = 0;
   for (usize p = 0; p < scheme.partitions(); ++p) {
-    ones_out[p] = detail::partition_raw_ones(scheme, line.data(), p);
-    total += ones_out[p];
+    ones_out[p] =
+        profile_partition_ones(scheme, ev.line_after, ev.ones_after, p);
   }
-  return total;
 }
 
 Energy CntPolicy::fill_write_cost(std::span<const usize> raw_ones,
@@ -404,14 +410,14 @@ void CntPolicy::charge_encoder_pass() {
                      tech_.periph.encoder_per_bit);
 }
 
-Energy CntPolicy::stored_read_cost(std::span<const u8> logical,
-                                   u64 dirs) const {
+Energy CntPolicy::stored_read_cost(const AccessEvent& ev, u64 dirs) const {
   const auto& scheme = predictor_.scheme();
+  const usize pb = scheme.partition_bits();
   Energy total{};
   for (usize p = 0; p < scheme.partitions(); ++p) {
-    const usize ones =
-        stored_partition_ones(scheme, logical, p, (dirs >> p) & 1u);
-    total += part_energy_.read(ones);
+    const usize raw =
+        profile_partition_ones(scheme, ev.line_after, ev.ones_after, p);
+    total += part_energy_.read(((dirs >> p) & 1u) ? pb - raw : raw);
   }
   return total;
 }

@@ -135,12 +135,10 @@ class CntPolicy final : public EnergyPolicyBase {
   /// handled by the flag (no array involvement).
   bool handle_zero_line(const AccessEvent& ev, LineState& st, bool is_write);
   void run_predictor(const AccessEvent& ev, LineState& st, bool is_write);
-  /// Raw '1' counts of every partition of `line`, written to `ones_out`
-  /// (one entry per partition). Returns their sum, which equals the whole
-  /// line's popcount -- callers use it for the zero-line test so the line
-  /// is swept exactly once per fill.
-  [[nodiscard]] usize partition_ones_of(std::span<const u8> line,
-                                        usize* ones_out) const;
+  /// Raw '1' counts of every partition of ev.line_after, written to
+  /// `ones_out` (one entry per partition), from the event's ones profile
+  /// (see profile_partition_ones).
+  void partition_ones_of(const AccessEvent& ev, usize* ones_out) const;
   /// One pass over the precomputed per-partition raw counts that both
   /// picks the fill direction mask (written to `dirs_out`) and prices the
   /// full-line array write under it. The raw count feeds the inversion
@@ -154,7 +152,8 @@ class CntPolicy final : public EnergyPolicyBase {
   void charge_meta_history_write(const HistoryCounters& hist);
   void charge_meta_full_write(const HistoryCounters& hist, u64 directions);
   void charge_encoder_pass();
-  [[nodiscard]] Energy stored_read_cost(std::span<const u8> logical,
+  /// Read cost of the whole stored line_after under `dirs`.
+  [[nodiscard]] Energy stored_read_cost(const AccessEvent& ev,
                                         u64 dirs) const;
   [[nodiscard]] Energy flip_aware_write_cost(std::span<const u8> before,
                                              std::span<const u8> after,

@@ -95,6 +95,24 @@ inline void invert_partition(const PartitionScheme& ps, u8* line,
 
 }  // namespace detail
 
+/// Raw '1' count of partition p of `line`, read from the line's ones
+/// profile (AccessEvent::ones_after / ones_before; see fill_ones_profile)
+/// when partitions are whole 64-bit profile words, and popcounted from
+/// the bytes when they are narrower.
+// cnt-hot
+[[nodiscard]] inline usize profile_partition_ones(
+    const PartitionScheme& ps, std::span<const u8> line,
+    std::span<const u8> profile, usize p) noexcept {
+  const usize pb = ps.partition_bits();
+  if (pb % 64 != 0) return detail::partition_raw_ones(ps, line.data(), p);
+  assert(profile.size() * 64 == ps.line_bits());
+  const usize words = pb / 64;
+  const u8* q = profile.data() + p * words;
+  usize total = 0;
+  for (usize w = 0; w < words; ++w) total += q[w];
+  return total;
+}
+
 /// Apply the encoding: copy `logical` into `out`, inverting every partition
 /// whose direction bit is set. Involutive: encode(encode(x, D), D) == x,
 /// so the same function decodes.
@@ -159,10 +177,14 @@ inline void reencode_line(const PartitionScheme& ps, std::span<u8> stored,
 
 /// '1' bits of the stored image restricted to the bit range
 /// [bit_begin, bit_end) -- used for word-granular write accounting, where
-/// only the accessed word's columns are driven.
+/// only the accessed word's columns are driven. `profile` is the ones
+/// profile of `logical` (AccessEvent::ones_after / ones_before): raw
+/// counts of 64-bit aligned overlaps are summed from it, all others are
+/// popcounted from the bytes (see profile_ones_range).
 // cnt-hot
 [[nodiscard]] inline usize stored_ones_range(const PartitionScheme& ps,
                                              std::span<const u8> logical,
+                                             std::span<const u8> profile,
                                              u64 directions, usize bit_begin,
                                              usize bit_end) noexcept {
   assert(bit_begin <= bit_end);
@@ -176,10 +198,19 @@ inline void reencode_line(const PartitionScheme& ps, std::span<u8> stored,
     const usize lo = bit_begin > ps.bit_begin(p) ? bit_begin : ps.bit_begin(p);
     const usize hi = bit_end < ps.bit_end(p) ? bit_end : ps.bit_end(p);
     if (lo >= hi) continue;
-    const usize raw = popcount_range(logical, lo, hi);
+    const usize raw = profile_ones_range(logical, profile, lo, hi);
     total += ((directions >> p) & 1u) ? (hi - lo) - raw : raw;
   }
   return total;
+}
+
+/// The same count with no profile: every overlap is popcounted from the
+/// bytes.
+[[nodiscard]] inline usize stored_ones_range(const PartitionScheme& ps,
+                                             std::span<const u8> logical,
+                                             u64 directions, usize bit_begin,
+                                             usize bit_end) noexcept {
+  return stored_ones_range(ps, logical, {}, directions, bit_begin, bit_end);
 }
 
 /// Per-partition '1' counts of the raw (unencoded) data.

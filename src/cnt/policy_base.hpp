@@ -51,7 +51,17 @@ class EnergyPolicyBase : public AccessSink {
   /// arrays cover the data line, the CNT array also covers its direction
   /// bits -- and widens the array geometry's meta_bits by spec.check_bits
   /// so decode and leakage see the wider rows.
-  void set_protection(const ProtectionSpec& spec) noexcept { prot_ = spec; }
+  void set_protection(const ProtectionSpec& spec) noexcept {
+    prot_ = spec;
+    // Per-operation protection energies depend only on the spec and the
+    // technology, so they are priced once here (the same expressions, so
+    // the same doubles) instead of on every array operation.
+    const double check = 0.5 * static_cast<double>(prot_.check_bits);
+    ecc_read_storage_ = (tech_.cell.rd0 + tech_.cell.rd1) * check;
+    ecc_write_storage_ = (tech_.cell.wr0 + tech_.cell.wr1) * check;
+    ecc_check_logic_ = tech_.periph.ecc_check_per_bit *
+                       static_cast<double>(prot_.covered_bits);
+  }
   [[nodiscard]] const ProtectionSpec& protection() const noexcept {
     return prot_;
   }
@@ -121,23 +131,15 @@ class EnergyPolicyBase : public AccessSink {
   /// Checker pass + check-bit read for one protected array read.
   void charge_ecc_read() {
     if (!prot_.enabled()) return;
-    ledger_.charge(EnergyCategory::kEccStorage,
-                   (tech_.cell.rd0 + tech_.cell.rd1) *
-                       (0.5 * static_cast<double>(prot_.check_bits)));
-    ledger_.charge(EnergyCategory::kEccLogic,
-                   tech_.periph.ecc_check_per_bit *
-                       static_cast<double>(prot_.covered_bits));
+    ledger_.charge(EnergyCategory::kEccStorage, ecc_read_storage_);
+    ledger_.charge(EnergyCategory::kEccLogic, ecc_check_logic_);
   }
 
   /// Check-bit regeneration + write for one protected array write.
   void charge_ecc_write() {
     if (!prot_.enabled()) return;
-    ledger_.charge(EnergyCategory::kEccStorage,
-                   (tech_.cell.wr0 + tech_.cell.wr1) *
-                       (0.5 * static_cast<double>(prot_.check_bits)));
-    ledger_.charge(EnergyCategory::kEccLogic,
-                   tech_.periph.ecc_check_per_bit *
-                       static_cast<double>(prot_.covered_bits));
+    ledger_.charge(EnergyCategory::kEccStorage, ecc_write_storage_);
+    ledger_.charge(EnergyCategory::kEccLogic, ecc_check_logic_);
   }
 
   /// Correction-path events reported by the fault campaign for this
@@ -199,6 +201,10 @@ class EnergyPolicyBase : public AccessSink {
   EnergyLedger ledger_;
   WriteGranularity write_gran_;
   ProtectionSpec prot_{};
+  // Protection energies per array operation (set by set_protection).
+  Energy ecc_read_storage_{};
+  Energy ecc_write_storage_{};
+  Energy ecc_check_logic_{};
 };
 
 }  // namespace cnt

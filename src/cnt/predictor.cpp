@@ -17,21 +17,23 @@ Predictor::Predictor(const BitEnergies& cell, PartitionScheme scheme,
 
 PredictorDecision Predictor::on_access(HistoryCounters& hist, u64 directions,
                                        bool is_write,
-                                       std::span<const u8> logical) const {
+                                       std::span<const usize> raw_ones) const {
   PredictorDecision d;
   ++hist.a_num;
   if (is_write) ++hist.wr_num;
   if (hist.a_num < window_) return d;
 
   // Window boundary.
+  assert(raw_ones.size() == scheme_.partitions());
   d.window_completed = true;
   const usize wr_num = hist.wr_num;
   d.write_intensive = table_.is_write_intensive(wr_num);
   d.new_directions = directions;
 
+  const usize pb = scheme_.partition_bits();
   for (usize p = 0; p < scheme_.partitions(); ++p) {
     const bool dir = (directions >> p) & 1u;
-    const usize ones = stored_partition_ones(scheme_, logical, p, dir);
+    const usize ones = dir ? pb - raw_ones[p] : raw_ones[p];
     if (table_.should_switch(wr_num, ones)) {
       d.new_directions ^= (1ULL << p);
       ++d.partitions_flipped;
@@ -42,6 +44,19 @@ PredictorDecision Predictor::on_access(HistoryCounters& hist, u64 directions,
   hist.a_num = 0;
   hist.wr_num = 0;
   return d;
+}
+
+PredictorDecision Predictor::on_access(LineState& state, bool is_write,
+                                       std::span<const u8> logical) const {
+  usize raw_ones[64];
+  std::span<const usize> counts;
+  if (window_closes(state.hist)) {
+    for (usize p = 0; p < scheme_.partitions(); ++p) {
+      raw_ones[p] = detail::partition_raw_ones(scheme_, logical.data(), p);
+    }
+    counts = std::span<const usize>(raw_ones, scheme_.partitions());
+  }
+  return on_access(state.hist, state.directions, is_write, counts);
 }
 
 }  // namespace cnt

@@ -53,21 +53,27 @@ class Predictor {
   Predictor(const BitEnergies& cell, PartitionScheme scheme, usize window,
             double delta_t = 0.0, double write_weight = 1.0);
 
-  /// Record one access to a line holding logical data `logical` (the
-  /// post-access contents) stored under `directions`. On a window
-  /// boundary, evaluates every partition's stored image and returns the
-  /// decision; the caller applies direction changes via its deferred-update
-  /// queue. Counters are reset at the boundary per Algorithm 1.
-  [[nodiscard]] PredictorDecision on_access(HistoryCounters& hist,
-                                            u64 directions,
-                              bool is_write,
-                              std::span<const u8> logical) const;
+  /// Record one access to a line stored under `directions`, whose
+  /// post-access contents have the raw (unencoded) per-partition '1'
+  /// counts `raw_ones` (one entry per partition). On a window boundary,
+  /// evaluates every partition's stored image and returns the decision;
+  /// the caller applies direction changes via its deferred-update queue.
+  /// Counters are reset at the boundary per Algorithm 1. `raw_ones` is
+  /// read only at a boundary (see window_closes), so callers may pass an
+  /// empty span on any other access.
+  [[nodiscard]] PredictorDecision on_access(
+      HistoryCounters& hist, u64 directions, bool is_write,
+      std::span<const usize> raw_ones) const;
 
-  /// Convenience overload for per-line history (the paper's design).
-  [[nodiscard]] PredictorDecision on_access(LineState& state,
-                                            bool is_write,
-                              std::span<const u8> logical) const {
-    return on_access(state.hist, state.directions, is_write, logical);
+  /// Convenience overload for per-line history (the paper's design) that
+  /// counts the partitions of the logical contents `logical` itself.
+  [[nodiscard]] PredictorDecision on_access(LineState& state, bool is_write,
+                                            std::span<const u8> logical) const;
+
+  /// True when the next on_access() on `hist` closes a window, i.e. when
+  /// it will read the partition counts.
+  [[nodiscard]] bool window_closes(const HistoryCounters& hist) const noexcept {
+    return hist.a_num + 1u >= window_;
   }
 
   [[nodiscard]] const ThresholdTable& table() const noexcept { return table_; }

@@ -76,6 +76,18 @@ struct AccessEvent {
   /// Logical line contents after the access. Empty for kWriteAround.
   std::span<const u8> line_after;
 
+  /// Ones profile, filled once per event by the cache so every sink can
+  /// read '1' counts instead of re-popcounting the same bytes (see
+  /// docs/architecture.md). ones_after[w] is the '1' count of the w-th
+  /// 8-byte word of line_after, and ones_after_total their sum (the
+  /// line's popcount). ones_before is the same profile of line_before,
+  /// filled only when the event evicts a dirty victim (the one case a
+  /// sink prices the before image); empty otherwise. For kWriteAround
+  /// both are empty and the total is 0. Same lifetime as the line spans.
+  std::span<const u8> ones_after;
+  usize ones_after_total = 0;
+  std::span<const u8> ones_before;
+
   /// Tag-array lookup cost inputs: total tag+state bits read across the
   /// set's ways this access, and how many of them were '1'.
   usize tag_bits_read = 0;

@@ -88,6 +88,41 @@ namespace detail {
   return total;
 }
 
+/// Ones profile of a line: out[w] = number of '1' bits in the w-th 8-byte
+/// word of `bytes`. Returns the sum over all words (the line's popcount).
+/// Precondition: bytes.size() % 8 == 0 and `out` holds bytes.size() / 8
+/// entries.
+// cnt-hot
+inline usize fill_ones_profile(std::span<const u8> bytes, u8* out) noexcept {
+  assert(bytes.size() % 8 == 0);
+  usize total = 0;
+  for (usize w = 0; w < bytes.size() / 8; ++w) {
+    const int ones = std::popcount(detail::load_u64(bytes.data() + w * 8));
+    out[w] = static_cast<u8>(ones);
+    total += static_cast<usize>(ones);
+  }
+  return total;
+}
+
+/// Number of '1' bits in the bit-range [bit_begin, bit_end) of `bytes`,
+/// given its ones profile (see fill_ones_profile). Ranges whose ends are
+/// both 64-bit aligned sum the profile; any other range, or an empty
+/// profile, falls back to popcount_range over the bytes. Same result
+/// either way.
+// cnt-hot
+[[nodiscard]] inline usize profile_ones_range(std::span<const u8> bytes,
+                                              std::span<const u8> profile,
+                                              usize bit_begin,
+                                              usize bit_end) noexcept {
+  if (profile.empty() || ((bit_begin | bit_end) & 63) != 0) {
+    return popcount_range(bytes, bit_begin, bit_end);
+  }
+  assert(bit_end / 64 <= profile.size());
+  usize total = 0;
+  for (usize w = bit_begin / 64; w < bit_end / 64; ++w) total += profile[w];
+  return total;
+}
+
 /// Invert every bit of `bytes` in place.
 inline void invert(std::span<u8> bytes) noexcept {
   usize i = 0;

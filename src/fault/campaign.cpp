@@ -33,17 +33,37 @@ void flip_bit(std::span<u8> bytes, usize bit) noexcept {
   bytes[bit >> 3] ^= static_cast<u8>(1u << (bit & 7));
 }
 
-/// Gap to the next success of a Bernoulli(p) process (geometric skip
-/// sampling): visiting only the flipped bits keeps a read O(#flips)
-/// instead of O(line bits). Exact for p in (0, 1).
-[[nodiscard]] u64 geometric_skip(Rng& rng, double p) {
-  if (p >= 1.0) return 0;
-  const double u = rng.uniform01();  // [0, 1)
-  // floor(log(1-u) / log(1-p)); both logs are negative.
-  return static_cast<u64>(std::log1p(-u) / std::log1p(-p));
-}
+// Relative margin on u_clear. The computed log1p / expm1 / divide are
+// each within a few ulps (~1e-15 relative); 2^-42 (~2.3e-13) leaves two
+// orders of magnitude of headroom while costing nothing measurable: draws
+// inside the margin just take the exact path.
+constexpr double kClearMargin = 0x1p-42;
 
 }  // namespace
+
+TransientSampler::TransientSampler(double p, u64 limit) noexcept
+    : limit_(limit), always_(p >= 1.0) {
+  if (always_) return;
+  log1m_p_ = std::log1p(-p);
+  // The gap floor(log1p(-u) / log1p(-p)) reaches `limit` exactly when
+  // log1p(-u) <= limit * log1p(-p), i.e. u >= -expm1(limit * log1p(-p)).
+  // -log1p(-u) is convex with value 0 at u = 0, so raising u by a relative
+  // margin raises the quotient by at least that much: past the margin the
+  // rounded formula cannot fall back below `limit`.
+  const double boundary =
+      -std::expm1(static_cast<double>(limit) * log1m_p_);
+  u_clear_ = boundary * (1.0 + kClearMargin);
+}
+
+// cnt-hot
+u64 TransientSampler::skip_for(double u) const noexcept {
+  if (always_) return 0;
+  if (u >= u_clear_) return limit_;
+  // floor(log(1-u) / log(1-p)); both logs are negative. Comparing in
+  // double before the cast keeps huge quotients (tiny p) defined.
+  const double gap = std::log1p(-u) / log1m_p_;
+  return gap < static_cast<double>(limit_) ? static_cast<u64>(gap) : limit_;
+}
 
 FaultCampaign::FaultCampaign(const FaultConfig& cfg, usize sets, usize ways,
                              usize line_bytes, usize partitions)
@@ -60,6 +80,8 @@ FaultCampaign::FaultCampaign(const FaultConfig& cfg, usize sets, usize ways,
                  cfg.stuck_per_mbit, cfg.stuck_at1_fraction),
       data_rng_(cfg.seed ^ kDataRngStream),
       dir_rng_(cfg.seed ^ kDirRngStream),
+      data_skip_(cfg.transient_per_read, line_bits_),
+      dir_skip_(cfg.transient_per_read, partitions),
       written_dirs_(sets * ways, 0),
       stored_dirs_(sets * ways, 0) {
   assert(partitions <= 64);  // direction mask is a u64
@@ -96,17 +118,18 @@ LineFaultReport FaultCampaign::on_read(u32 set, u32 way,
   });
 
   // Transient upsets (read disturb / retention loss), exact Bernoulli
-  // process over the line's bits. A flip landing on a stuck cell is
-  // physically impossible -- skip it.
+  // process over the line's bits (geometric skip sampling: visiting only
+  // the flipped bits keeps a read O(#flips) instead of O(line bits)). A
+  // flip landing on a stuck cell is physically impossible -- skip it.
   if (cfg_.transient_per_read > 0.0) {
-    u64 bit = geometric_skip(data_rng_, cfg_.transient_per_read);
+    u64 bit = data_skip_.next(data_rng_);
     while (bit < line_bits_) {
       if (data_stuck_.count_in(base + bit, 1) == 0) {
         flip_bit(stored, static_cast<usize>(bit));
         flip_scratch_.push_back(static_cast<u32>(bit));
         ++stats_.transient_data_flips;
       }
-      bit += 1 + geometric_skip(data_rng_, cfg_.transient_per_read);
+      bit += 1 + data_skip_.next(data_rng_);
     }
   }
 
@@ -197,13 +220,13 @@ FaultCampaign::DirRead FaultCampaign::read_directions(u32 set, u32 way) {
 
   // Transient flips over the K direction bits (skipping stuck cells).
   if (cfg_.transient_per_read > 0.0 && partitions_ > 0) {
-    u64 bit = geometric_skip(dir_rng_, cfg_.transient_per_read);
+    u64 bit = dir_skip_.next(dir_rng_);
     while (bit < partitions_) {
       if (dir_stuck_.count_in(base + bit, 1) == 0) {
         stored ^= 1ull << bit;
         ++stats_.transient_dir_flips;
       }
-      bit += 1 + geometric_skip(dir_rng_, cfg_.transient_per_read);
+      bit += 1 + dir_skip_.next(dir_rng_);
     }
     stored_dirs_[static_cast<usize>(li)] = stored;
   }

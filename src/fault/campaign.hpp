@@ -59,6 +59,42 @@ struct FaultStats {
   }
 };
 
+/// Exact geometric-skip sampler for the transient upsets of one fault
+/// domain (a line's data bits, or its K direction bits).
+///
+/// The gap to the next flip of a Bernoulli(p) process is
+/// floor(log1p(-u) / log1p(-p)) for one uniform u in [0, 1), and a read
+/// only cares whether that gap falls inside its `limit` bits. Almost every
+/// draw lands past the limit at realistic rates, so the sampler precomputes
+/// log1p(-p) and the smallest u whose gap provably reaches the limit
+/// (u_clear, with a safety margin) and rejects those draws with one
+/// compare, without any log. Every other draw runs the exact formula, so
+/// the RNG stream and every outcome match the formula-only sampler
+/// (docs/fault_model.md explains why the shortcut is exact).
+class TransientSampler {
+ public:
+  /// `p` is the per-bit flip probability (0 < p <= 1 in practice) and
+  /// `limit` the number of bits one read scans.
+  TransientSampler(double p, u64 limit) noexcept;
+
+  /// Gap for the uniform draw `u`: the exact formula's value when it is
+  /// below limit(), else limit() itself ("no flip within the range").
+  [[nodiscard]] u64 skip_for(double u) const noexcept;
+  /// Draw one uniform from `rng` (none when p >= 1, where every bit
+  /// flips) and return skip_for() of it.
+  [[nodiscard]] u64 next(Rng& rng) const noexcept {
+    return always_ ? 0 : skip_for(rng.uniform01());
+  }
+
+  [[nodiscard]] double u_clear() const noexcept { return u_clear_; }
+
+ private:
+  double log1m_p_ = 0.0;  ///< log1p(-p)
+  double u_clear_ = 0.0;  ///< u >= u_clear: the gap is >= limit
+  u64 limit_ = 0;
+  bool always_ = false;   ///< p >= 1
+};
+
 class FaultCampaign final : public LineFaultHook, public DirectionFaultHook {
  public:
   FaultCampaign(const FaultConfig& cfg, usize sets, usize ways,
@@ -111,6 +147,8 @@ class FaultCampaign final : public LineFaultHook, public DirectionFaultHook {
   StuckMap dir_stuck_;
   Rng data_rng_;
   Rng dir_rng_;
+  TransientSampler data_skip_;  ///< transient gaps over a line's data bits
+  TransientSampler dir_skip_;   ///< transient gaps over its direction bits
   std::vector<u64> written_dirs_;  ///< per line: mask the encoder intended
   std::vector<u64> stored_dirs_;   ///< per line: mask the cells hold
   std::vector<u32> flip_scratch_;  ///< bit offsets flipped by this read

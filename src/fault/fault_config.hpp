@@ -40,6 +40,12 @@ struct FaultConfig {
     return stuck_per_mbit > 0.0 || transient_per_read > 0.0 ||
            protection != ProtectionScheme::kNone;
   }
+
+  /// Reject knobs outside their meaning: a negative or NaN probability
+  /// would silently disable transients and one above 1 would flip every
+  /// bit. Throws ValueError (Errc::kRange) naming the INI key
+  /// (fault.stuck_per_mbit, fault.stuck_at1, fault.transient_per_read).
+  void validate() const;
 };
 
 }  // namespace cnt

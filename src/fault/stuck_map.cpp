@@ -1,5 +1,7 @@
 #include "fault/stuck_map.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_set>
 
@@ -27,6 +29,18 @@ StuckMap::StuckMap(u64 seed, u64 total_bits, double per_mbit,
   }
   std::sort(cells_.begin(), cells_.end(),
             [](const Cell& a, const Cell& b) { return a.bit < b.bit; });
+
+  // Size the buckets so that there are about as many buckets as cells.
+  const u32 index_bits = static_cast<u32>(std::bit_width(total_bits - 1));
+  const u32 cell_bits = static_cast<u32>(std::bit_width(cells_.size()));
+  shift_ = index_bits > cell_bits ? index_bits - cell_bits : 0;
+  const u64 buckets = ((total_bits - 1) >> shift_) + 1;
+  bucket_first_.resize(static_cast<usize>(buckets));
+  usize i = 0;
+  for (u64 b = 0; b < buckets; ++b) {
+    while (i < cells_.size() && (cells_[i].bit >> shift_) < b) ++i;
+    bucket_first_[static_cast<usize>(b)] = i;
+  }
 }
 
 usize StuckMap::count_in(u64 base, u64 count) const noexcept {

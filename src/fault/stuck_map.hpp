@@ -5,11 +5,12 @@
 // density / 2^20) and the positions are drawn without replacement from a
 // seeded Rng, so the same (seed, geometry, density) always yields the
 // same defect pattern -- fault sweeps are replayable and resumable like
-// every other experiment in the repo. Per-line queries binary-search the
-// sorted list, so the per-access cost is O(log defects + hits).
+// every other experiment in the repo. Per-line queries start from a
+// bucket index over the sorted list (about one cell per bucket), so a
+// query costs O(1) plus its hits instead of a binary search per array
+// read.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -30,11 +31,14 @@ class StuckMap {
   /// fn(offset_within_range, stuck_value).
   template <typename Fn>
   void for_range(u64 base, u64 count, Fn&& fn) const {
-    auto it = std::lower_bound(
-        cells_.begin(), cells_.end(), base,
-        [](const Cell& c, u64 b) { return c.bit < b; });
-    for (; it != cells_.end() && it->bit < base + count; ++it) {
-      fn(static_cast<usize>(it->bit - base), it->value);
+    // First cell at or after `base`: the bucket's first cell, then a short
+    // linear step over the few cells of the bucket that precede `base`.
+    const u64 bucket = base >> shift_;
+    usize i = bucket < bucket_first_.size() ? bucket_first_[bucket]
+                                            : cells_.size();
+    while (i < cells_.size() && cells_[i].bit < base) ++i;
+    for (; i < cells_.size() && cells_[i].bit < base + count; ++i) {
+      fn(static_cast<usize>(cells_[i].bit - base), cells_[i].value);
     }
   }
 
@@ -47,6 +51,9 @@ class StuckMap {
     bool value;
   };
   std::vector<Cell> cells_;  // sorted by bit index
+  // bucket_first_[b] = index of the first cell with bit >= (b << shift_).
+  std::vector<usize> bucket_first_;
+  u32 shift_ = 0;
 };
 
 }  // namespace cnt

@@ -74,6 +74,7 @@ double SimResult::saving(std::string_view opt, std::string_view base) const {
 
 SimResult simulate(TraceSource& source, std::span<const MemorySegment> init,
                    const SimConfig& cfg) {
+  cfg.fault.validate();
   MainMemory memory;
   memory.load(init);
 

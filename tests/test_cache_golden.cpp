@@ -4,7 +4,11 @@
 // core functional-correctness property.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <ostream>
 #include <tuple>
 
 #include "cache/cache.hpp"
@@ -21,6 +25,31 @@ struct GoldenParam {
   bool way_prediction = false;
   bool sector_writeback = false;
 };
+
+// gtest names each case "<name>  # GetParam() = <value>", and its fallback
+// printer dumps the object's raw bytes, padding included. Padding contents
+// are unspecified, so the case names changed from build to build. Print the
+// same "N-byte object <..>" form with every padding byte zeroed.
+void PrintTo(const GoldenParam& p, std::ostream* os) {
+  unsigned char bytes[sizeof(GoldenParam)] = {};
+  const auto put = [&bytes](usize offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof(field));
+  };
+  put(offsetof(GoldenParam, write), p.write);
+  put(offsetof(GoldenParam, alloc), p.alloc);
+  put(offsetof(GoldenParam, repl), p.repl);
+  put(offsetof(GoldenParam, ways), p.ways);
+  put(offsetof(GoldenParam, way_prediction), p.way_prediction);
+  put(offsetof(GoldenParam, sector_writeback), p.sector_writeback);
+  *os << sizeof(GoldenParam) << "-byte object <";
+  for (usize i = 0; i < sizeof(bytes); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class CacheGolden : public ::testing::TestWithParam<GoldenParam> {};
 

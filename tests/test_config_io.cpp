@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace cnt {
 namespace {
 
@@ -77,6 +81,40 @@ TEST(SimConfigIo, InvalidGeometryThrows) {
   EXPECT_THROW(
       (void)sim_config_from(Config::parse_string("[cache]\nsize = 1000\n")),
       std::invalid_argument);
+}
+
+TEST(SimConfigIo, OutOfRangeFaultKnobsThrowNamingTheKey) {
+  const struct {
+    const char* key;
+    const char* ini;
+  } cases[] = {
+      {"fault.transient_per_read", "[fault]\ntransient_per_read = -0.1\n"},
+      {"fault.transient_per_read", "[fault]\ntransient_per_read = nan\n"},
+      {"fault.transient_per_read", "[fault]\ntransient_per_read = 1.5\n"},
+      {"fault.stuck_at1", "[fault]\nstuck_at1 = 1.01\n"},
+      {"fault.stuck_at1", "[fault]\nstuck_at1 = -0.5\n"},
+      {"fault.stuck_per_mbit", "[fault]\nstuck_per_mbit = -1\n"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)sim_config_from(Config::parse_string(c.ini));
+      ADD_FAILURE() << "accepted: " << c.ini;
+    } catch (const ValueError& e) {
+      EXPECT_EQ(e.info().code, Errc::kRange) << c.ini;
+      EXPECT_NE(e.info().message.find(std::string("'") + c.key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SimConfigIo, FaultKnobsAcceptTheirClosedRanges) {
+  const SimConfig cfg = sim_config_from(Config::parse_string(
+      "[fault]\ntransient_per_read = 1\nstuck_at1 = 0\n"
+      "stuck_per_mbit = 0\n"));
+  EXPECT_EQ(cfg.fault.transient_per_read, 1.0);
+  EXPECT_EQ(cfg.fault.stuck_at1_fraction, 0.0);
+  EXPECT_EQ(cfg.fault.stuck_per_mbit, 0.0);
 }
 
 TEST(SimConfigIo, KnownKeysCoverSchema) {

@@ -15,6 +15,7 @@
 #include "common/io.hpp"
 #include "common/json.hpp"
 #include "exec/journal.hpp"
+#include "fault/fault_config.hpp"
 #include "trace/trace_io.hpp"
 
 namespace cnt {
@@ -129,6 +130,47 @@ TEST(GoldenConfigValue, BadIntegerIsValueErrorWithKeyAndValue) {
     EXPECT_EQ(e.info().code, Errc::kValue);
     EXPECT_EQ(e.info().message, "key 's.n' has invalid integer value '3x'");
     EXPECT_EQ(e.info().hint, "use a plain base-10 integer");
+  }
+}
+
+TEST(GoldenFaultConfig, OutOfRangeProbabilityNamesKeyValueAndRange) {
+  FaultConfig cfg;
+  cfg.transient_per_read = -0.1;
+  try {
+    cfg.validate();
+    FAIL() << "must throw";
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.info().code, Errc::kRange);
+    EXPECT_EQ(e.info().message,
+              "key 'fault.transient_per_read' has out-of-range value '-0.1'");
+    EXPECT_EQ(e.info().hint, "use a per-bit probability in [0, 1]");
+    EXPECT_EQ(std::string(e.what()),
+              "[range] key 'fault.transient_per_read' has out-of-range value "
+              "'-0.1' -- hint: use a per-bit probability in [0, 1]");
+  }
+}
+
+TEST(GoldenFaultConfig, NegativeDensityAndBadFractionNameTheirKeys) {
+  FaultConfig density;
+  density.stuck_per_mbit = -3.0;
+  try {
+    density.validate();
+    FAIL() << "must throw";
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.info().message,
+              "key 'fault.stuck_per_mbit' has out-of-range value '-3'");
+    EXPECT_EQ(e.info().hint,
+              "use a stuck-cell density per 2^20 bits in [0, 1048576]");
+  }
+  FaultConfig fraction;
+  fraction.stuck_at1_fraction = 2.0;
+  try {
+    fraction.validate();
+    FAIL() << "must throw";
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.info().message,
+              "key 'fault.stuck_at1' has out-of-range value '2'");
+    EXPECT_EQ(e.info().hint, "use a fraction in [0, 1]");
   }
 }
 

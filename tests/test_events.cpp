@@ -2,9 +2,12 @@
 // observer, independent of any energy policy.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cnt/encoding.hpp"
+#include "common/bits.hpp"
 #include "common/rng.hpp"
 
 namespace cnt {
@@ -133,6 +136,9 @@ TEST(Events, WriteAroundHasEmptySpans) {
       ASSERT_EQ(ev.kind, AccessKind::kWriteAround);
       EXPECT_TRUE(ev.line_before.empty());
       EXPECT_TRUE(ev.line_after.empty());
+      EXPECT_TRUE(ev.ones_after.empty());
+      EXPECT_TRUE(ev.ones_before.empty());
+      EXPECT_EQ(ev.ones_after_total, 0u);
       EXPECT_FALSE(ev.evicted_valid);
     }
   } check;
@@ -169,6 +175,143 @@ TEST(Events, EvictionFieldsOnConflictMiss) {
   EXPECT_TRUE(last.evicted_dirty);
   EXPECT_EQ(last.evicted_tag, cfg.tag_of(0x0));
   EXPECT_EQ(last.before[0], 0xAB);  // the victim's data was visible
+}
+
+// ---- Ones profile -------------------------------------------------------
+
+/// '1' count of the w-th 8-byte word of `line`, bit by bit (independent of
+/// the word-packed kernels under test).
+usize word_ones(std::span<const u8> line, usize w) {
+  usize ones = 0;
+  for (usize b = 0; b < 8; ++b) {
+    ones += static_cast<usize>(std::popcount(static_cast<u32>(line[w * 8 + b])));
+  }
+  return ones;
+}
+
+/// Checks the ones-profile fields of every event, and that the partition
+/// counts policies derive from them equal the byte counts for every K.
+class ProfileChecker final : public AccessSink {
+ public:
+  explicit ProfileChecker(usize line_bytes) : line_bytes_(line_bytes) {
+    for (usize k = 1; k <= 64 && k <= line_bytes; k *= 2) {
+      schemes_.emplace_back(line_bytes, k);
+    }
+  }
+
+  void on_access(const AccessEvent& ev) override {
+    ++events;
+    if (ev.kind == AccessKind::kWriteAround) return;
+    const usize words = line_bytes_ / 8;
+    ASSERT_EQ(ev.ones_after.size(), words);
+    usize total = 0;
+    for (usize w = 0; w < words; ++w) {
+      EXPECT_EQ(ev.ones_after[w], word_ones(ev.line_after, w)) << w;
+      total += word_ones(ev.line_after, w);
+    }
+    EXPECT_EQ(ev.ones_after_total, total);
+
+    // The before profile exists exactly when a dirty victim is priced.
+    if (ev.evicted_dirty) {
+      ++dirty_victims;
+      ASSERT_EQ(ev.ones_before.size(), words);
+      for (usize w = 0; w < words; ++w) {
+        EXPECT_EQ(ev.ones_before[w], word_ones(ev.line_before, w)) << w;
+      }
+    } else {
+      EXPECT_TRUE(ev.ones_before.empty());
+    }
+
+    // Partition counts from the profile match the bytes. A poisoned
+    // profile shows which path ran: partitions of whole 64-bit words read
+    // the profile, narrower ones (K=16/32/64 on 64 B lines) fall back to
+    // the bytes and ignore it.
+    const std::vector<u8> poison(words, 0xFF);
+    for (const PartitionScheme& ps : schemes_) {
+      const bool whole_words = ps.partition_bits() % 64 == 0;
+      for (usize p = 0; p < ps.partitions(); ++p) {
+        const usize raw = stored_partition_ones(ps, ev.line_after, p, false);
+        EXPECT_EQ(profile_partition_ones(ps, ev.line_after, ev.ones_after, p),
+                  raw);
+        const usize poisoned =
+            profile_partition_ones(ps, ev.line_after, poison, p);
+        if (whole_words) {
+          ++profile_reads;
+          EXPECT_EQ(poisoned, 0xFFu * (ps.partition_bits() / 64));
+        } else {
+          ++fallbacks;
+          EXPECT_EQ(poisoned, raw) << "K=" << ps.partitions();
+        }
+      }
+    }
+  }
+
+  usize events = 0;
+  usize dirty_victims = 0;
+  usize profile_reads = 0;
+  usize fallbacks = 0;
+
+ private:
+  usize line_bytes_;
+  std::vector<PartitionScheme> schemes_;
+};
+
+TEST(Events, OnesProfileMatchesTheLinesAtEveryLineSize) {
+  for (const usize line : {8u, 16u, 32u, 64u, 128u, 256u}) {
+    for (const bool sectored : {false, true}) {
+      CacheConfig cfg;
+      cfg.size_bytes = 32 * line;
+      cfg.ways = 4;
+      cfg.line_bytes = line;
+      cfg.sector_writeback = sectored;
+      MainMemory mem;
+      Cache cache(cfg, mem);
+      ProfileChecker checker(line);
+      cache.add_sink(checker);
+      Rng rng(line * 2 + (sectored ? 1 : 0));
+      for (int i = 0; i < 3000; ++i) {
+        // cnt-lint: narrow-ok -- 1 << k with k < 4
+        const u8 size = static_cast<u8>(1u << rng.uniform(4));
+        const u64 addr = rng.uniform(64 * line / size) * size;
+        if (rng.chance(0.4)) {
+          cache.access(MemAccess::write(addr, rng.next(), size));
+        } else {
+          cache.access(MemAccess::read(addr, size));
+        }
+      }
+      // Full-line traffic from an upper level takes the same path.
+      std::vector<u8> block(line, 0x5A);
+      cache.write_line(0, block);
+      cache.read_line(line * 40, block);
+      EXPECT_EQ(checker.events, 3002u);
+      EXPECT_GT(checker.dirty_victims, 0u) << line;
+      EXPECT_GT(checker.profile_reads, 0u) << line;
+      if (line == 64) {
+        EXPECT_GT(checker.fallbacks, 0u);
+      }
+    }
+  }
+}
+
+TEST(Events, OnesProfileSeesFaultMutatedLines) {
+  // A fault hook corrupts the stored line before the event is built; the
+  // profile must describe the corrupted bytes the sinks see.
+  struct FlipFirstBit final : LineFaultHook {
+    void on_fill(u32, u32, std::span<u8>) override {}
+    LineFaultReport on_read(u32, u32, std::span<u8> stored) override {
+      stored[0] ^= 1u;
+      LineFaultReport r;
+      r.flips = r.silent = 1;
+      return r;
+    }
+  } hook;
+  MainMemory mem;
+  Cache cache(tiny(), mem);
+  cache.set_fault_hook(&hook);
+  ProfileChecker checker(64);
+  cache.add_sink(checker);
+  for (int i = 0; i < 50; ++i) cache.access(MemAccess::read(0x40, 8));
+  EXPECT_EQ(checker.events, 50u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fault/stuck_map.hpp"
 
 namespace cnt {
@@ -103,6 +107,34 @@ TEST(StuckMap, ZeroDensityIsEmpty) {
   const StuckMap m(7, 1u << 20, 0.0, 0.5);
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.count_in(0, 1u << 20), 0u);
+}
+
+TEST(StuckMap, RangeQueriesMatchAFullScanAtEveryDensity) {
+  // The bucket index must find exactly the cells a scan of the whole map
+  // finds, for sparse maps (wide buckets) through saturated ones (one bit
+  // per bucket), odd array sizes, and ranges that start or end anywhere.
+  for (const u64 total : {u64{1}, u64{777}, u64{1} << 16}) {
+    for (const double per_mbit : {5.0, 200.0, 1e5, 1048576.0}) {
+      const StuckMap m(11, total, per_mbit, 0.5);
+      std::vector<std::pair<u64, bool>> all;
+      m.for_range(0, total, [&](u64 off, bool v) { all.emplace_back(off, v); });
+      ASSERT_EQ(all.size(), m.size());
+      Rng rng(total + static_cast<u64>(per_mbit));
+      for (int q = 0; q < 300; ++q) {
+        const u64 base = rng.uniform(total);
+        const u64 count = rng.uniform(total - base) + 1;
+        std::vector<std::pair<u64, bool>> got;
+        m.for_range(base, count,
+                    [&](u64 off, bool v) { got.emplace_back(base + off, v); });
+        std::vector<std::pair<u64, bool>> want;
+        for (const auto& c : all) {
+          if (c.first >= base && c.first < base + count) want.push_back(c);
+        }
+        ASSERT_EQ(got, want) << "total=" << total << " density=" << per_mbit
+                             << " base=" << base << " count=" << count;
+      }
+    }
+  }
 }
 
 TEST(StuckMap, At1FractionExtremes) {

@@ -1,6 +1,10 @@
 // End-to-end fault plumbing: FaultConfig -> simulate() -> SimResult.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/error.hpp"
+
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "trace/workload_suite.hpp"
@@ -12,6 +16,17 @@ SimConfig two_policy_config() {
   SimConfig cfg;
   cfg.with_cmos = cfg.with_static = cfg.with_ideal = false;
   return cfg;
+}
+
+TEST(FaultRunner, SimulateRejectsOutOfRangeKnobs) {
+  // Configs built in code bypass the INI parser; simulate() validates too.
+  for (const double p : {-0.1, 1.5, std::nan("")}) {
+    SimConfig cfg = two_policy_config();
+    cfg.fault.transient_per_read = p;
+    EXPECT_THROW((void)simulate(build_workload("zipf_kv", 0.05), cfg),
+                 ValueError)
+        << p;
+  }
 }
 
 TEST(FaultRunner, DisabledCampaignLeavesResultUntouched) {
