@@ -1,6 +1,7 @@
 // PERF -- core hot-path kernels, isolated: set lookup through the cache
-// substrate, the partition popcount + encode kernel, and a full
-// end-to-end in-RAM replay through the policy stack. Each kernel reports
+// substrate, the partition popcount + encode kernel, a full end-to-end
+// in-RAM replay through the policy stack, and the predictor's
+// per-access window step. Each kernel reports
 // ops/sec; together with bench_perf_stream_replay they pin the perf
 // trajectory docs/performance.md describes.
 //
@@ -17,10 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "figures.hpp"
 #include "cache/cache.hpp"
 #include "cache/main_memory.hpp"
 #include "cnt/encoding.hpp"
+#include "cnt/predictor.hpp"
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
 #include "common/json.hpp"
@@ -134,17 +136,36 @@ KernelResult kernel_replay(u64 ops) {
   return r;
 }
 
+/// Kernel 4: Algorithm 1's per-access predictor step on one line (W = 15,
+/// K = 8): a counter update every access, plus the partition recount and
+/// threshold decision each time a window closes. Every fourth access is
+/// a write.
+KernelResult kernel_predictor_window(u64 ops) {
+  const Predictor p(TechParams::cnfet().cell, PartitionScheme(64, 8), 15);
+  Rng rng(5);
+  std::vector<u8> line(64);
+  for (auto& b : line) b = rng.next_byte();
+  LineState state;
+  volatile u64 sink = 0;  // keep the decisions observable
+  return time_kernel("predictor_window", ops, [&] {
+    for (u64 i = 0; i < ops; ++i) {
+      sink = sink + p.on_access(state, (i & 3) == 0, line).new_directions;
+    }
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::banner("PERF", "hot-path kernels (lookup / popcount+encode / replay)");
-  const u64 ops = bench::u64_option(argc, argv, "--ops", 2'000'000);
+  bench::banner("PERF", "hot-path kernels: lookup, encode, replay, predictor");
+  const u64 ops = exec::u64_from_args(argc, argv, "--ops", 2'000'000);
 
   try {
     std::vector<KernelResult> results;
     results.push_back(kernel_cache_lookup(ops));
     results.push_back(kernel_popcount_encode(ops));
     results.push_back(kernel_replay(ops));
+    results.push_back(kernel_predictor_window(ops));
 
     for (const auto& r : results) {
       std::cout << r.name << ": " << r.ops << " ops in " << r.seconds

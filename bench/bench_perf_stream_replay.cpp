@@ -25,7 +25,7 @@
 #include <sys/resource.h>
 #endif
 
-#include "bench_util.hpp"
+#include "figures.hpp"
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
 #include "common/json.hpp"
@@ -80,8 +80,8 @@ bool has_flag(int argc, char** argv, const std::string& flag) {
 int main(int argc, char** argv) {
   bench::banner("PERF", "streamed trace replay (throughput + memory bound)");
   const u64 target_bytes =
-      bench::u64_option(argc, argv, "--bytes", u64{32} << 20);
-  const u64 chunk_capacity = bench::u64_option(
+      exec::u64_from_args(argc, argv, "--bytes", u64{32} << 20);
+  const u64 chunk_capacity = exec::u64_from_args(
       argc, argv, "--chunk-capacity", stream::kDefaultChunkCapacity);
   const bool keep_trace = has_flag(argc, argv, "--keep-trace");
   if (chunk_capacity == 0 || chunk_capacity > stream::kMaxChunkCapacity) {

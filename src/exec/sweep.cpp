@@ -1,5 +1,6 @@
 #include "exec/sweep.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -24,7 +25,9 @@ SweepSpec& SweepSpec::base(const SimConfig& cfg) {
 }
 
 SweepSpec& SweepSpec::scale(double s) {
-  if (s <= 0.0) throw std::invalid_argument("SweepSpec: scale must be > 0");
+  if (!std::isfinite(s) || s <= 0.0) {
+    throw std::invalid_argument("SweepSpec: scale must be finite and > 0");
+  }
   scale_ = s;
   return *this;
 }

@@ -8,7 +8,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,6 +94,20 @@ TEST(SweepSpec, DefaultsToSuiteWorkloads) {
   SweepSpec spec;
   spec.scale(kScale);
   EXPECT_EQ(spec.job_count(), suite_names().size());
+}
+
+// A non-finite scale would reach the generators' size arithmetic
+// (llround of inf), so the spec refuses it up front like a non-positive
+// one.
+TEST(SweepSpec, RejectsNonFiniteScale) {
+  SweepSpec spec;
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0}) {
+    EXPECT_THROW(spec.scale(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(spec.scale(kScale));
 }
 
 // The tentpole guarantee: a parallel run is bit-identical to --jobs 1.

@@ -1,7 +1,7 @@
 // Server-traffic generator family (src/trace/gen/server_traffic.*):
 // deterministic sink-based emission, address-keyed sparse init that
 // covers exactly what the trace reads, and the scenario presets exposed
-// through build_workload and bench_fig_traffic.
+// through build_workload and the fig_traffic figure.
 #include <gtest/gtest.h>
 
 #include <set>

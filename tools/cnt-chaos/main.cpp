@@ -24,35 +24,28 @@
 //
 // Exit 0 when every case holds, 1 on any violation, 2 on usage errors.
 // Unix-only (fork/waitpid).
-#include <algorithm>
-#include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#if defined(__unix__)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
+#include "child_harness.hpp"
 #include "common/cancel.hpp"
-#include "common/error.hpp"
-#include "common/failpoint.hpp"
 #include "exec/engine.hpp"
 #include "sim/runner.hpp"
 #include "trace/workload_suite.hpp"
 
 using namespace cnt;
 namespace fsys = std::filesystem;
+using harness::ChildStatus;
+using harness::pick_index;
+using harness::read_report;
+using harness::run_child;
+using harness::slurp;
 
 namespace {
 
@@ -65,29 +58,6 @@ int usage() {
                "  --keep       keep per-case directories for inspection\n"
                "  --list       print the chaos case catalog and exit\n";
   return 2;
-}
-
-u64 fnv1a(std::string_view s) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (const char ch : s) {
-    h ^= static_cast<u64>(ch) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Seeded 1-based trigger index into `count` evaluations of a site.
-u64 pick_index(std::string_view label, u64 seed, u64 count) {
-  u64 h = fnv1a(label);
-  h ^= seed * 0x9e3779b97f4a7c15ULL;
-  return 1 + h % count;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 /// Occurrences of the "quarantined" key in the journal -- the sink only
@@ -158,100 +128,6 @@ int run_sweep(const std::string& dir, const SweepParams& p) {
   } catch (const exec::SweepInterrupted&) {
     return 130;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Parent-side process control with a hard wall-clock bound.
-
-struct ChildStatus {
-  bool killed_backstop = false;  ///< deadline blown; SIGKILLed by us
-  int term_signal = 0;           ///< terminating signal when nonzero
-  int exit_code = -1;            ///< wait status exit code otherwise
-};
-
-#if defined(__unix__)
-
-/// Fork and run `payload` with CNT_FAILPOINTS=`spec` (empty = disarmed)
-/// and CNT_FAILPOINT_REPORT=`report` (empty = no probing). The parent
-/// polls with a deadline: a child still alive at `deadline_ms` is
-/// SIGKILLed and reported as a deadlock -- the no-deadlock assertion.
-ChildStatus run_child(const std::function<int()>& payload,
-                      const std::string& spec, const std::string& report,
-                      const std::string& err_path, u64 deadline_ms) {
-  std::cout.flush();
-  std::cerr.flush();
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::cerr << "cnt-chaos: fork failed\n";
-    std::exit(2);
-  }
-  if (pid == 0) {
-    // Isolate the child from ambient engine knobs; only the explicit
-    // per-case parameters decide behaviour.
-    ::unsetenv("CNT_RETRIES");
-    ::unsetenv("CNT_JOB_TIMEOUT_MS");
-    ::unsetenv("CNT_JOBS");
-    if (spec.empty()) {
-      ::unsetenv("CNT_FAILPOINTS");
-    } else {
-      ::setenv("CNT_FAILPOINTS", spec.c_str(), 1);
-    }
-    if (report.empty()) {
-      ::unsetenv("CNT_FAILPOINT_REPORT");
-    } else {
-      ::setenv("CNT_FAILPOINT_REPORT", report.c_str(), 1);
-    }
-    int code = 0;
-    try {
-      fp::configure_from_env();
-      code = payload();
-    } catch (const std::exception& e) {
-      // Expected for injected I/O errors; record for --keep debugging.
-      if (std::FILE* f = std::fopen(err_path.c_str(), "w")) {
-        std::fprintf(f, "%s\n", format_error(e).c_str());
-        (void)std::fclose(f);
-      }
-      code = 1;
-    } catch (...) {
-      code = 1;
-    }
-    fp::write_report();
-    std::_Exit(code);  // no atexit/dtors: don't flush the parent's buffers
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  const cancel::Token pace;
-  ChildStatus out;
-  for (;;) {
-    int status = 0;
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) {
-      if (WIFSIGNALED(status)) {
-        out.term_signal = WTERMSIG(status);
-      } else if (WIFEXITED(status)) {
-        out.exit_code = WEXITSTATUS(status);
-      }
-      return out;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      (void)::kill(pid, SIGKILL);
-      (void)::waitpid(pid, &status, 0);
-      out.killed_backstop = true;
-      return out;
-    }
-    (void)pace.wait_ms(5);
-  }
-}
-
-#endif  // defined(__unix__)
-
-std::map<std::string, u64> read_report(const std::string& path) {
-  std::map<std::string, u64> counts;
-  std::ifstream in(path);
-  std::string site;
-  u64 n = 0;
-  while (in >> site >> n) counts[site] = n;
-  return counts;
 }
 
 /// One seeded chaos schedule over the sweep. `spec` may reference the
@@ -344,11 +220,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Hard per-child wall-clock bound -- the no-deadlock assertion. Far
-  // above any healthy run (the sweep takes well under a second) so a
-  // trip always means parked-forever work.
-  constexpr u64 kDeadlineMs = 60'000;
-
   u64 cases_run = 0;
   u64 failures = 0;
   auto fail = [&](const std::string& label, const std::string& why) {
@@ -364,7 +235,7 @@ int main(int argc, char** argv) {
   const std::string report_path = ref_dir + "/failpoint_report.txt";
   const ChildStatus ref =
       run_child([&] { return run_sweep(ref_dir, {}); }, "", report_path,
-                ref_dir + "/err.txt", kDeadlineMs);
+                ref_dir + "/err.txt");
   if (ref.killed_backstop || ref.term_signal != 0 || ref.exit_code != 0) {
     std::cerr << "cnt-chaos: reference sweep did not exit 0\n";
     return 2;
@@ -410,7 +281,7 @@ int main(int argc, char** argv) {
       SweepParams params = cc.params;
       const ChildStatus st =
           run_child([&] { return run_sweep(dir, params); }, spec, "",
-                    dir + "/err.txt", kDeadlineMs);
+                    dir + "/err.txt");
       bool ok = true;
       if (st.killed_backstop) {
         fail(label, "deadlock: child blew the wall-clock bound");
@@ -456,7 +327,7 @@ int main(int argc, char** argv) {
             [&] {
               return run_sweep(dir, {.resume = true});
             },
-            "", "", dir + "/err_resume.txt", kDeadlineMs);
+            "", "", dir + "/err_resume.txt");
         if (rec.killed_backstop || rec.term_signal != 0 ||
             rec.exit_code != 0) {
           fail(label, "--resume recovery run failed");

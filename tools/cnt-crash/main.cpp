@@ -24,25 +24,18 @@
 // --list prints the site catalog. Exit 0 when every case holds, 1 on any
 // violation, 2 on usage errors. Unix-only (fork/waitpid).
 #include <algorithm>
-#include <cstdio>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#if defined(__unix__)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
+#include "child_harness.hpp"
 #include "common/csv.hpp"
-#include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
 #include "exec/engine.hpp"
@@ -55,6 +48,10 @@
 
 using namespace cnt;
 namespace fsys = std::filesystem;
+using harness::ChildStatus;
+using harness::pick_index;
+using harness::read_report;
+using harness::slurp;
 
 namespace {
 
@@ -67,22 +64,6 @@ int usage() {
                "  --keep       keep per-case directories for inspection\n"
                "  --list       print the failpoint site catalog and exit\n";
   return 2;
-}
-
-u64 fnv1a(std::string_view s) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (const char ch : s) {
-    h ^= static_cast<u64>(ch) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -166,79 +147,7 @@ void run_bench_emit(const std::string& dir) {
 }
 
 // ---------------------------------------------------------------------------
-// Parent-side process control and verification.
-
-struct ChildStatus {
-  bool killed = false;  ///< terminated by SIGKILL (crash action landed)
-  int exit_code = -1;   ///< wait status exit code when !killed
-};
-
-#if defined(__unix__)
-
-/// Fork and run `payload` with CNT_FAILPOINTS=`spec` (empty = disarmed)
-/// and CNT_FAILPOINT_REPORT=`report` (empty = no probing). The child
-/// never returns; exceptions map to exit 1, and the one expected kill
-/// signal is SIGKILL from the crash action.
-ChildStatus run_child(const std::function<void()>& payload,
-                      const std::string& spec, const std::string& report,
-                      const std::string& err_path) {
-  std::cout.flush();
-  std::cerr.flush();
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::cerr << "cnt-crash: fork failed\n";
-    std::exit(2);
-  }
-  if (pid == 0) {
-    if (spec.empty()) {
-      ::unsetenv("CNT_FAILPOINTS");
-    } else {
-      ::setenv("CNT_FAILPOINTS", spec.c_str(), 1);
-    }
-    if (report.empty()) {
-      ::unsetenv("CNT_FAILPOINT_REPORT");
-    } else {
-      ::setenv("CNT_FAILPOINT_REPORT", report.c_str(), 1);
-    }
-    int code = 0;
-    try {
-      fp::configure_from_env();
-      payload();
-    } catch (const std::exception& e) {
-      // Expected for injected error actions; record for --keep debugging.
-      if (std::FILE* f = std::fopen(err_path.c_str(), "w")) {
-        std::fprintf(f, "%s\n", format_error(e).c_str());
-        (void)std::fclose(f);
-      }
-      code = 1;
-    } catch (...) {
-      code = 1;
-    }
-    fp::write_report();
-    std::_Exit(code);  // no atexit/dtors: don't flush the parent's buffers
-  }
-  int status = 0;
-  (void)::waitpid(pid, &status, 0);
-  ChildStatus out;
-  if (WIFSIGNALED(status)) {
-    out.killed = WTERMSIG(status) == SIGKILL;
-    out.exit_code = -1;
-  } else if (WIFEXITED(status)) {
-    out.exit_code = WEXITSTATUS(status);
-  }
-  return out;
-}
-
-#endif  // defined(__unix__)
-
-std::map<std::string, u64> read_report(const std::string& path) {
-  std::map<std::string, u64> counts;
-  std::ifstream in(path);
-  std::string site;
-  u64 n = 0;
-  while (in >> site >> n) counts[site] = n;
-  return counts;
-}
+// Parent-side verification.
 
 /// True when the chunked-trace reader refuses `path` (torn tail, bad
 /// CRC, truncated footer) -- the contract for crash-landed .trs files.
@@ -253,6 +162,26 @@ bool trs_refused(const std::string& path) {
     return true;
   }
 }
+
+#if defined(__unix__)
+
+/// Run one scenario step, `step(dir)`, in a forked child under the
+/// harness's failpoint spec and wall-clock deadline.
+ChildStatus run_child(const std::function<void(const std::string&)>& step,
+                      const std::string& dir, const std::string& spec,
+                      const std::string& report, const std::string& err_path) {
+  return harness::run_child(
+      [&] {
+        step(dir);
+        return 0;
+      },
+      spec, report, err_path);
+}
+
+/// A child the SIGKILL crash action (not the backstop) terminated.
+bool crashed(const ChildStatus& st) { return st.term_signal == SIGKILL; }
+
+#endif  // defined(__unix__)
 
 struct Scenario {
   std::string name;
@@ -380,9 +309,9 @@ int main(int argc, char** argv) {
     fsys::remove_all(ref_dir, ec);
     fsys::create_directories(ref_dir);
     const std::string report_path = ref_dir + "/failpoint_report.txt";
-    const ChildStatus ref = run_child([&] { sc.payload(ref_dir); }, "",
-                                      report_path, ref_dir + "/err.txt");
-    if (ref.killed || ref.exit_code != 0) {
+    const ChildStatus ref = run_child(sc.payload, ref_dir, "", report_path,
+                                      ref_dir + "/err.txt");
+    if (ref.killed_backstop || ref.term_signal != 0 || ref.exit_code != 0) {
       fail(sc.name + "/reference", "clean run did not exit 0");
       continue;
     }
@@ -410,9 +339,7 @@ int main(int argc, char** argv) {
       for (u64 seed = 0; seed < opt.seeds; ++seed) {
         for (const std::string& action : actions) {
           ++cases;
-          u64 h = fnv1a(site + "|" + action);
-          h ^= seed * 0x9e3779b97f4a7c15ULL;
-          const u64 k = 1 + h % count;
+          const u64 k = pick_index(site + "|" + action, seed, count);
           const std::string spec =
               site + "=" + action + "@" + std::to_string(k);
           const std::string label = sc.name + "/" + spec;
@@ -422,22 +349,24 @@ int main(int argc, char** argv) {
           fsys::create_directories(dir);
 
           const ChildStatus st =
-              run_child([&] { sc.payload(dir); }, spec, "",
-                        dir + "/err.txt");
+              run_child(sc.payload, dir, spec, "", dir + "/err.txt");
           bool ok = true;
-          if (action == "crash") {
-            if (!st.killed) {
+          if (st.killed_backstop) {
+            fail(label, "hung: child blew the wall-clock bound");
+            ok = false;
+          } else if (action == "crash") {
+            if (!crashed(st)) {
               fail(label, "armed crash did not SIGKILL the child");
               ok = false;
             }
           } else if (site == "engine.job") {
             // An injected transient job failure is retried to a clean,
             // byte-identical completion -- not an exit at all.
-            if (st.killed || st.exit_code != 0) {
+            if (st.term_signal != 0 || st.exit_code != 0) {
               fail(label, "transient job failure was not retried clean");
               ok = false;
             }
-          } else if (st.killed || st.exit_code == 0) {
+          } else if (st.term_signal != 0 || st.exit_code == 0) {
             fail(label, "injected I/O error did not fail gracefully");
             ok = false;
           }
@@ -446,9 +375,10 @@ int main(int argc, char** argv) {
           // byte-identically from whatever the fault left behind.
           if (ok && sc.recover && !(site == "engine.job" &&
                                     action != "crash")) {
-            const ChildStatus rec = run_child([&] { sc.recover(dir); }, "",
-                                              "", dir + "/err_resume.txt");
-            if (rec.killed || rec.exit_code != 0) {
+            const ChildStatus rec = run_child(sc.recover, dir, "", "",
+                                              dir + "/err_resume.txt");
+            if (rec.killed_backstop || rec.term_signal != 0 ||
+                rec.exit_code != 0) {
               fail(label, "--resume recovery run failed");
               ok = false;
             }
