@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <iterator>
 #include <sstream>
@@ -112,6 +113,8 @@ double scale_from(const char* text, double fallback) {
   return std::isfinite(v) && v > 0.0 ? v : fallback;
 }
 
+namespace {
+
 void banner(const std::string& experiment, const std::string& what) {
   const std::string rule(62, '=');
   std::cout << rule << "\n" << experiment << ": " << what << "\n"
@@ -120,12 +123,11 @@ void banner(const std::string& experiment, const std::string& what) {
             << rule << "\n\n";
 }
 
-int report_error(const std::exception& e) {
+/// Print the structured rendering of `e` and return exit status 1.
+[[nodiscard]] int report_error(const std::exception& e) {
   std::cerr << "error: " << format_error(e) << "\n";
   return 1;
 }
-
-namespace {
 
 /// Split outcomes into sweep points: consecutive jobs sharing an axis tag
 /// and a seed offset. Throws if any job failed.

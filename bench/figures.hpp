@@ -11,7 +11,6 @@
 // CSV and the footer.
 #pragma once
 
-#include <exception>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -138,10 +137,5 @@ struct Invocation {
 /// Run one figure: banner, engine sweep, table, CSV, footer. Returns the
 /// process exit status: 0, 1 on any error, 130 when interrupted.
 [[nodiscard]] int run_figure(const Figure& fig, const Invocation& inv);
-
-void banner(const std::string& experiment, const std::string& what);
-
-/// Print the structured rendering of `e` and return exit status 1.
-[[nodiscard]] int report_error(const std::exception& e);
 
 }  // namespace cnt::bench

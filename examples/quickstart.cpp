@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/error.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "trace/workload_suite.hpp"
@@ -22,6 +23,9 @@ int main(int argc, char** argv) {
   cnt::Workload w;
   try {
     w = cnt::build_workload(workload, scale);
+  } catch (const cnt::ValueError& e) {  // a bad scale, not a bad name
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\nknown workloads:";
     for (const auto& n : cnt::suite_names()) std::cerr << ' ' << n;

@@ -142,18 +142,6 @@ while IFS= read -r csv; do
     complain "$csv has no generating figure in $registry"
 done <<<"$csvs"
 
-# BENCH_<name>.json perf documents (committed or referenced in docs) are
-# emitted by bench/bench_perf_<name>.cpp -- same provenance rule as CSVs.
-bench_jsons=$( { ls results/BENCH_*.json 2>/dev/null | xargs -rn1 basename;
-                 grep -ohE '\bBENCH_[a-z0-9_]+\.json\b' "${docs[@]}"; } | sort -u)
-while IFS= read -r bj; do
-  [ -z "$bj" ] && continue
-  name=${bj#BENCH_}; name=${name%.json}
-  if [ ! -e "bench/bench_perf_$name.cpp" ]; then
-    complain "$bj has no generating bench/bench_perf_$name.cpp"
-  fi
-done <<<"$bench_jsons"
-
 # --- 5. ctest labels -------------------------------------------------------
 
 # A doc that says `ctest -L <label>` (or "ctest label: <label>") promises

@@ -4,21 +4,11 @@
 Usage:
     build/examples/cnt_sim my.ini           # with [output] json = run.json
     python3 scripts/check_regression.py run.json [--min-saving 0.10]
-    python3 scripts/check_regression.py results/BENCH_stream_replay.json \
-        [--min-aps 100000]
 
 Checks the invariants a healthy run must satisfy (finite positive
 energies, savings within sane bounds, baseline policy present) and,
-optionally, a minimum CNT-Cache saving.
-
-Also accepts perf-bench documents (schemas cnt-bench-perf-v1 and -v2,
-emitted by bench_perf_stream_replay and bench_perf_kernels): finite
-positive throughput, a positive peak-RSS reading, and a byte-identical
-in-RAM-vs-streamed energy ledger, with an optional --min-aps accesses/sec
-floor. v2 nests the run-varying wall-clock/throughput/RSS fields under a
-"timing" object so the stable identity fields diff cleanly across runs
-(docs/performance.md); kernel-suite documents carry a "kernels" array of
-{name, ops, timing} entries and --min-aps gates their "replay" kernel.
+optionally, a minimum CNT-Cache saving. Host speed is gated by
+perfbench/ (docs/performance.md), not here.
 
 Exit codes: 0 = pass, 1 = invariant violated, 2 = prerequisite missing
 (file absent/unreadable, malformed JSON, missing schema tag).
@@ -66,100 +56,11 @@ def check_result(r, min_saving):
     return 0
 
 
-def positive_number(v):
-    return isinstance(v, (int, float)) and math.isfinite(v) and v > 0
-
-
-def check_perf(doc, min_aps):
-    """Structural checks for a cnt-bench-perf-v1 document (flat fields)."""
-    name = doc.get("bench", "?")
-    if doc.get("failpoints_enabled"):
-        return fail(f"{name}: measured with failpoints armed "
-                    "(failpoints_enabled=true); rerun without CNT_FAILPOINTS")
-    if doc.get("job_timeout_armed"):
-        return fail(f"{name}: measured with the job watchdog armed "
-                    "(job_timeout_armed=true); rerun without "
-                    "CNT_JOB_TIMEOUT_MS")
-    for key in ("accesses", "file_bytes", "seconds", "accesses_per_sec",
-                "peak_rss_bytes"):
-        if not positive_number(doc.get(key)):
-            return fail(f"{name}: bad {key} {doc.get(key)!r}")
-    if doc.get("ledger_identical") is not True:
-        return fail(f"{name}: streamed replay diverged from the in-RAM "
-                    "energy ledger")
-    aps = doc["accesses_per_sec"]
-    if min_aps is not None and aps < min_aps:
-        return fail(f"{name}: {aps:.0f} accesses/sec below gate {min_aps:.0f}")
-    print(f"ok: {name}  {aps:.0f} accesses/sec  "
-          f"peak_rss={doc['peak_rss_bytes'] / 2**20:.1f} MiB  "
-          f"ledger_identical=true")
-    return 0
-
-
-def check_perf_v2(doc, min_aps):
-    """Checks for a cnt-bench-perf-v2 document: stable identity fields at
-    the top level, run-varying measurements nested under "timing"."""
-    name = doc.get("bench", "?")
-    if doc.get("failpoints_enabled"):
-        return fail(f"{name}: measured with failpoints armed "
-                    "(failpoints_enabled=true); rerun without CNT_FAILPOINTS")
-    if doc.get("job_timeout_armed"):
-        return fail(f"{name}: measured with the job watchdog armed "
-                    "(job_timeout_armed=true); rerun without "
-                    "CNT_JOB_TIMEOUT_MS")
-
-    if "kernels" in doc:
-        kernels = doc["kernels"]
-        if not isinstance(kernels, list) or not kernels:
-            return fail(f"{name}: empty or malformed kernels array")
-        rc = 0
-        for k in kernels:
-            kname = k.get("name", "?")
-            timing = k.get("timing", {})
-            if not positive_number(k.get("ops")):
-                rc |= fail(f"{name}/{kname}: bad ops {k.get('ops')!r}")
-                continue
-            for key in ("seconds", "ops_per_sec"):
-                if not positive_number(timing.get(key)):
-                    rc |= fail(f"{name}/{kname}: bad timing.{key} "
-                               f"{timing.get(key)!r}")
-                    break
-            else:
-                rate = timing["ops_per_sec"]
-                if (min_aps is not None and kname == "replay"
-                        and rate < min_aps):
-                    rc |= fail(f"{name}/{kname}: {rate:.0f} ops/sec below "
-                               f"gate {min_aps:.0f}")
-                else:
-                    print(f"ok: {name}/{kname}  {rate:.0f} ops/sec")
-        return rc
-
-    timing = doc.get("timing", {})
-    for key in ("accesses", "file_bytes"):
-        if not positive_number(doc.get(key)):
-            return fail(f"{name}: bad {key} {doc.get(key)!r}")
-    for key in ("seconds", "accesses_per_sec", "peak_rss_bytes"):
-        if not positive_number(timing.get(key)):
-            return fail(f"{name}: bad timing.{key} {timing.get(key)!r}")
-    if doc.get("ledger_identical") is not True:
-        return fail(f"{name}: streamed replay diverged from the in-RAM "
-                    "energy ledger")
-    aps = timing["accesses_per_sec"]
-    if min_aps is not None and aps < min_aps:
-        return fail(f"{name}: {aps:.0f} accesses/sec below gate {min_aps:.0f}")
-    print(f"ok: {name}  {aps:.0f} accesses/sec  "
-          f"peak_rss={timing['peak_rss_bytes'] / 2**20:.1f} MiB  "
-          f"ledger_identical=true")
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("json_file")
     ap.add_argument("--min-saving", type=float, default=None,
                     help="fail if any workload's cnt_cache saving is below")
-    ap.add_argument("--min-aps", type=float, default=None,
-                    help="fail if a perf bench's accesses/sec is below")
     args = ap.parse_args()
 
     # Prerequisite problems exit 2 loudly instead of tracebacking (or,
@@ -185,18 +86,8 @@ def main():
         results = [doc]
     elif "schema" not in doc:
         fail(f"{args.json_file}: missing schema tag "
-             "(expected cnt-cache-results-v1 or cnt-bench-perf-v1)")
+             "(expected cnt-cache-results-v1)")
         return 2
-    elif doc["schema"] == "cnt-bench-perf-v1":
-        rc = check_perf(doc, args.min_aps)
-        if rc == 0:
-            print("PASS: perf bench healthy")
-        return rc
-    elif doc["schema"] == "cnt-bench-perf-v2":
-        rc = check_perf_v2(doc, args.min_aps)
-        if rc == 0:
-            print("PASS: perf bench healthy")
-        return rc
     elif doc["schema"] != "cnt-cache-results-v1":
         return fail(f"unknown schema {doc['schema']}")
     else:

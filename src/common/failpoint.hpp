@@ -4,7 +4,7 @@
 // Every durable writer names its I/O steps as *sites* ("journal.write",
 // "trs.sync", ...) and asks the registry before performing them. With no
 // failpoints armed the question costs one relaxed atomic load -- the
-// perf wall (scripts/check_all.sh leg 6 + BENCH_stream_replay.json gate)
+// benchmark (perfbench/, which refuses to measure with CNT_FAILPOINTS set)
 // holds the instrumentation to that budget. Arming happens through
 // `CNT_FAILPOINTS` (or configure() in tests):
 //

@@ -108,8 +108,4 @@ std::string results_dir() {
   return dir;
 }
 
-std::string result_path(const std::string& name) {
-  return results_dir() + "/" + name;
-}
-
 }  // namespace cnt

@@ -38,7 +38,4 @@ void write_savings_csv(const std::vector<SimResult>& results,
 /// Resolves to $CNT_RESULTS_DIR or "./results".
 [[nodiscard]] std::string results_dir();
 
-/// results_dir() + "/" + name, with the directory created.
-[[nodiscard]] std::string result_path(const std::string& name);
-
 }  // namespace cnt

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
+#include "common/error.hpp"
 #include "trace/gen/server_traffic.hpp"
 #include "trace/gen/workloads.hpp"
 
@@ -11,10 +13,11 @@ namespace cnt {
 
 namespace {
 
+/// `v` at `scale`, with the scale clamped to at least 0.01.
 usize scaled(usize v, double scale, usize floor_v = 1) {
-  const double s = std::max(0.01, scale);
-  return std::max(floor_v,
-                  static_cast<usize>(std::llround(static_cast<double>(v) * s)));
+  const double n =
+      std::max(static_cast<double>(v) * 0.01, scaled_count(v, scale));
+  return std::max(floor_v, static_cast<usize>(std::llround(n)));
 }
 
 // Seed perturbation for statistical replication: offset 0 keeps the
@@ -111,8 +114,26 @@ const std::vector<SuiteEntry>& default_suite() {
   return kSuite;
 }
 
+double scaled_count(usize count, double scale) {
+  const double n = std::max(static_cast<double>(count) * scale, 0.0);
+  // 2^63: both llround() and the usize conversion are defined below it.
+  if (std::isfinite(scale) && n < 0x1p63) return n;
+  std::ostringstream what;
+  what << "scale '" << scale << "' ";
+  if (std::isfinite(scale)) {
+    what << "sizes " << count << " items to " << n << ", past 2^63";
+  } else {
+    what << "is not finite";
+  }
+  throw ValueError(Errc::kRange, what.str())
+      .hint("use a finite scale; 1 is the default size");
+}
+
 Workload build_workload(const std::string& name, double scale,
                         u64 seed_offset) {
+  // A count of 0 checks only that the scale is finite: matmul and
+  // image_blur size nothing by it.
+  (void)scaled_count(0, scale);
   for (const auto& e : default_suite()) {
     if (e.name == name) return e.build(scale, seed_offset);
   }

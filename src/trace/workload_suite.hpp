@@ -24,12 +24,19 @@ struct SuiteEntry {
 /// All ten data-side workloads, in canonical report order.
 [[nodiscard]] const std::vector<SuiteEntry>& default_suite();
 
-/// Build one suite workload by name at the given scale; `seed_offset`
-/// perturbs the generator seed for statistical replication.
-/// Throws std::invalid_argument for unknown names.
+/// Build one suite workload by name at the given scale (clamped to at
+/// least 0.01); `seed_offset` perturbs the generator seed for statistical
+/// replication. Throws std::invalid_argument for unknown names and
+/// scaled_count()'s ValueError for a bad scale.
 [[nodiscard]] Workload build_workload(const std::string& name,
                                       double scale = 1.0,
                                       u64 seed_offset = 0);
+
+/// `count * scale`, unrounded and at least 0: the size a generator
+/// parameter takes at `scale`. Throws ValueError (Errc::kRange) naming
+/// `scale` when it is not finite or the product is too large to be a
+/// count (>= 2^63).
+[[nodiscard]] double scaled_count(usize count, double scale);
 
 /// Names in canonical order (for CLI help and report rows).
 [[nodiscard]] std::vector<std::string> suite_names();

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 
+#include "common/error.hpp"
 #include "trace/workload_suite.hpp"
 
 namespace cnt {
@@ -70,6 +73,39 @@ TEST(Workloads, SuiteHasTenEntries) {
 
 TEST(Workloads, UnknownNameThrows) {
   EXPECT_THROW((void)build_workload("nope"), std::invalid_argument);
+}
+
+TEST(Workloads, NonFiniteOrHugeScaleIsRangeErrorNamingScale) {
+  // Before the check, inf and 1e300 reached llround() and died in
+  // vector::reserve, and NaN was silently clamped to 0.01.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_refused = [](const char* name, double scale) {
+    try {
+      (void)build_workload(name, scale);
+      ADD_FAILURE() << name << " accepted scale " << scale;
+    } catch (const ValueError& e) {
+      EXPECT_EQ(e.code(), Errc::kRange);
+      EXPECT_EQ(e.info().message.rfind("scale '", 0), 0u)
+          << e.info().message;
+    }
+  };
+  for (const char* name : {"zipf_kv", "matmul", "srv_steady"}) {
+    for (const double bad : {inf, -inf, std::nan("")}) {
+      expect_refused(name, bad);
+    }
+  }
+  expect_refused("zipf_kv", 1e300);
+  expect_refused("srv_steady", 1e300);
+}
+
+TEST(Workloads, ScaledCountKeepsFiniteScalesAndClampsAtZero) {
+  EXPECT_EQ(scaled_count(30000, 0.5), 15000.0);
+  EXPECT_EQ(scaled_count(30000, -2.0), 0.0);
+  EXPECT_EQ(scaled_count(0, 1e300), 0.0);
+  EXPECT_THROW((void)scaled_count(30000, 1e15), ValueError);  // 3e19 > 2^63
+  // Finite scales below 0.01 keep the clamp to 0.01.
+  EXPECT_EQ(build_workload("zipf_kv", -1.0).trace.size(),
+            build_workload("zipf_kv", 0.01).trace.size());
 }
 
 TEST(Workloads, WriteMixesDiffer) {

@@ -93,7 +93,7 @@ TEST(GoldenLedgers, SuiteZipfKv) {
 TEST(GoldenLedgers, SrvStreamedReplay) {
   // A small srv_-style server-traffic trace, written to disk in the
   // chunked CNTTRS format and replayed through the batched streaming
-  // path -- the exact loop bench_perf_stream_replay times.
+  // path -- the loop perfbench's replay_stream workload times.
   gen::ServerTrafficParams p;
   p.records = usize{1} << 14;
   p.ops = 30000;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/rng.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats_dump.hpp"
+#include "trace/gen/server_traffic.hpp"
 #include "trace/stream/stream_reader.hpp"
 #include "trace/stream/stream_writer.hpp"
 #include "trace/stream/trace_source.hpp"
@@ -175,23 +177,45 @@ TEST(VectorSource, BatchesAndOwnership) {
   EXPECT_EQ(owning.name(), "mixed");
 }
 
+/// Replay `in_ram` and the .trs bytes `trs` (the same accesses) and
+/// expect the same energy JSON, workload label aside.
+void expect_same_ledger(TraceSource& in_ram, const std::string& trs,
+                        std::span<const MemorySegment> init) {
+  SimConfig cfg;
+  cfg.with_cmos = false;
+  SimResult a = simulate(in_ram, init, cfg);
+  std::istringstream is(trs);
+  stream::StreamTraceSource src(is, "streamed");
+  SimResult b = simulate(src, init, cfg);
+
+  a.workload = b.workload = "replay";
+  std::ostringstream ja, jb;
+  dump_json(a, ja);
+  dump_json(b, jb);
+  EXPECT_EQ(ja.str(), jb.str());
+}
+
 TEST(StreamReplay, LedgerIsByteIdenticalToInRamReplay) {
   // Streaming must be a pure I/O change: the same accesses with the same
   // init image must render the exact same energy JSON either way.
   const Workload w = build_workload("zipf_kv", 0.05);
-  SimConfig cfg;
-  cfg.with_cmos = false;
+  VectorTraceSource suite(w.trace);
+  expect_same_ledger(suite, encode(w.trace, 512), w.init);
 
-  SimResult in_ram = simulate(w, cfg);
-  std::istringstream is(encode(w.trace, 512));
-  stream::StreamTraceSource src(is, "streamed");
-  SimResult streamed = simulate(src, w.init, cfg);
-
-  in_ram.workload = streamed.workload = "replay";
-  std::ostringstream ja, jb;
-  dump_json(in_ram, ja);
-  dump_json(streamed, jb);
-  EXPECT_EQ(ja.str(), jb.str());
+  // Server traffic, generated twice: once collected in RAM and once
+  // written straight to .trs, spanning many chunks.
+  gen::ServerTrafficParams p;
+  p.ops = 4000;
+  Trace collected("srv");
+  TraceCollector collect(collected);
+  (void)gen::generate_server_traffic(p, collect);
+  std::ostringstream os;
+  stream::StreamTraceWriter writer(os, 512);
+  (void)gen::generate_server_traffic(p, writer);
+  writer.finish();
+  EXPECT_GT(writer.chunks(), 10u);
+  VectorTraceSource srv(collected);
+  expect_same_ledger(srv, os.str(), {});
 }
 
 // --- golden refusals -------------------------------------------------------

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
       gen::ServerTrafficParams p =
           scenario != nullptr ? scenario->params : gen::ServerTrafficParams{};
       if (scale != 1.0) {
-        p.ops = static_cast<usize>(static_cast<double>(p.ops) * scale);
+        p.ops = static_cast<usize>(scaled_count(p.ops, scale));
       }
       if (ops_override != 0) p.ops = ops_override;
       if (records_override != 0) p.records = records_override;
