@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cnt {
 
@@ -27,9 +28,17 @@ Hierarchy::Hierarchy(HierarchyConfig cfg, MainMemory& memory)
     : cfg_(std::move(cfg)), memory_(memory) {
   MemoryLevel* below = &memory_;
   if (cfg_.enable_l2) {
-    assert(cfg_.l2.line_bytes == cfg_.l1d.line_bytes &&
-           cfg_.l2.line_bytes == cfg_.l1i.line_bytes &&
-           "uniform line size across levels required");
+    // An L1 fill copies one L2 line into one L1 line buffer, so lines of
+    // different sizes would overrun or under-fill it.
+    for (const CacheConfig* l1 : {&cfg_.l1d, &cfg_.l1i}) {
+      if (l1->line_bytes != cfg_.l2.line_bytes) {
+        throw std::invalid_argument(
+            l1->name + ": line_bytes " + std::to_string(l1->line_bytes) +
+            " differs from " + cfg_.l2.name + "'s " +
+            std::to_string(cfg_.l2.line_bytes) +
+            " (uniform line size across levels required)");
+      }
+    }
     l2_ = std::make_unique<Cache>(cfg_.l2, memory_);
     below = l2_.get();
   }

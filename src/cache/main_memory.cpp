@@ -1,21 +1,45 @@
 #include "cache/main_memory.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace cnt {
 
+namespace {
+
+/// Distinct granules a segment writes. Runs ascend and do not overlap, so
+/// a run can share only its first granule with the previous run.
+usize granules_needed(const MemorySegment& seg) {
+  constexpr u64 kG = MainMemory::kGranuleBytes;
+  usize n = seg.bytes.empty()
+                ? 0
+                : (seg.base + seg.bytes.size() - 1) / kG - seg.base / kG + 1;
+  u64 prev_last = ~u64{0};
+  for (const auto& run : seg.runs) {
+    if (run.length == 0) continue;
+    const u64 first = (seg.base + run.offset) / kG;
+    const u64 last = (seg.base + run.offset + run.length - 1) / kG;
+    n += last - first + (first == prev_last ? 0 : 1);
+    prev_last = last;
+  }
+  return n;
+}
+
+}  // namespace
+
 void MainMemory::load(std::span<const MemorySegment> segments) {
+  usize granules = 0;
+  for (const auto& seg : segments) granules += granules_needed(seg);
+  index_.reserve(granules);
   for (const auto& seg : segments) load_segment(seg);
 }
 
 void MainMemory::load_segment(const MemorySegment& seg) {
   copy_in(seg.base, seg.bytes.data(), seg.bytes.size());
   // Sparse runs: only explicit payloads are materialized. The implicit-zero
-  // remainder of the span needs no pages at all -- unmapped reads already
-  // return zero -- so loading a mostly-zero multi-GiB table touches memory
-  // proportional to its runs, not its span.
+  // remainder of the span needs no granules at all -- unmapped reads
+  // already return zero -- so loading a mostly-zero multi-GiB table touches
+  // memory proportional to its runs, not its span.
   usize pool_pos = 0;
   for (const auto& run : seg.runs) {
     copy_in(seg.base + run.offset, seg.pool.data() + pool_pos, run.length);
@@ -23,27 +47,15 @@ void MainMemory::load_segment(const MemorySegment& seg) {
   }
 }
 
-void MainMemory::copy_in(u64 addr, const u8* src, usize n) {
-  usize off = 0;
-  while (off < n) {
-    u8* pg = page(addr);
-    const usize page_off = addr % kPageBytes;
-    const usize chunk = std::min(kPageBytes - page_off, n - off);
-    std::memcpy(pg + page_off, src + off, chunk);
-    addr += chunk;
-    off += chunk;
-  }
-}
-
 u8 MainMemory::peek(u64 addr) const {
-  if (const u8* pg = page_if_present(addr)) {
-    return pg[addr % kPageBytes];
+  if (const u8* g = granule_if_present(addr)) {
+    return g[addr % kGranuleBytes];
   }
   return 0;
 }
 
 void MainMemory::poke(u64 addr, u8 value) {
-  page(addr)[addr % kPageBytes] = value;
+  granule(addr)[addr % kGranuleBytes] = value;
 }
 
 u64 MainMemory::peek_word(u64 addr, u8 size) const {
@@ -54,22 +66,25 @@ u64 MainMemory::peek_word(u64 addr, u8 size) const {
   return v;
 }
 
-u8* MainMemory::page_slow(u64 addr) {
-  const u64 pn = addr / kPageBytes;
-  u32* slot = page_index_.find(pn);
-  if (slot == nullptr) {
-    const u32 idx = static_cast<u32>(page_store_.size());
-    page_store_.emplace_back(kPageBytes, u8{0});
-    slot = &page_index_.find_or_insert(pn, idx);
+u8* MainMemory::granule_slow(u64 gn) {
+  u32& slot = index_.find_or_insert(gn, kNoSlot);
+  if (slot == kNoSlot) {
+    assert(granules_ < kNoSlot);
+    if (granules_ % kChunkGranules == 0) {
+      arena_.push_back(
+          std::make_unique_for_overwrite<u8[]>(kChunkGranules * kGranuleBytes));
+    }
+    slot = granules_++;
+    std::memset(slot_data(slot), 0, kGranuleBytes);
   }
-  cached_page_no_ = pn;
-  cached_page_ = page_store_[*slot].data();
-  return cached_page_;
+  cached_granule_no_ = gn;
+  cached_granule_ = slot_data(slot);
+  return cached_granule_;
 }
 
-const u8* MainMemory::page_if_present(u64 addr) const {
-  const u32* slot = page_index_.find(addr / kPageBytes);
-  return slot == nullptr ? nullptr : page_store_[*slot].data();
+const u8* MainMemory::granule_if_present(u64 addr) const {
+  const u32* slot = index_.find(addr / kGranuleBytes);
+  return slot == nullptr ? nullptr : slot_data(*slot);
 }
 
 }  // namespace cnt

@@ -336,11 +336,10 @@ const std::vector<std::string>& site_catalog() {
   // Sorted; parse_entry binary-searches it. One family per artifact
   // writer (docs/crash_consistency.md) plus the engine's job runner.
   static const std::vector<std::string> kSites = {
-      "bench.rename", "bench.sync",  "bench.write",   "csv.rename",
-      "csv.sync",     "csv.write",   "engine.job",    "journal.rename",
-      "journal.sync", "journal.write", "stats.rename", "stats.sync",
-      "stats.write",  "trace.rename", "trace.sync",   "trace.write",
-      "trs.sync",     "trs.write",
+      "csv.rename",   "csv.sync",      "csv.write",    "engine.job",
+      "journal.rename", "journal.sync", "journal.write", "stats.rename",
+      "stats.sync",   "stats.write",   "trace.rename", "trace.sync",
+      "trace.write",  "trs.sync",      "trs.write",
   };
   return kSites;
 }

@@ -1,13 +1,13 @@
-// Open-addressing hash containers for the simulator hot path.
+// Open-addressing hash map for the simulator hot path.
 //
-// The replay loop performs one unique-line membership probe per access
-// (TraceStatsAccumulator) and one page-table probe per fill/writeback
-// (MainMemory). std::unordered_{set,map} put a heap-allocated node and a
-// pointer chase on each of those probes; at millions of accesses per
-// second they dominate the profile (docs/performance.md). These
-// containers keep keys in one contiguous power-of-two array with linear
-// probing, so a probe is a multiply-shift hash plus a handful of adjacent
-// loads.
+// The replay loop performs one page-mask probe per access for the
+// unique-line count (TraceStatsAccumulator) and one granule-index probe
+// per fill/writeback (MainMemory). std::unordered_map puts a
+// heap-allocated node and a pointer chase on each of those probes; at
+// millions of accesses per second they dominate the profile
+// (docs/performance.md). This container keeps keys in one contiguous
+// power-of-two array with linear probing, so a probe is a multiply-shift
+// hash plus a handful of adjacent loads.
 //
 // Scope is deliberately narrow: u64 keys, insert/find only (no erase),
 // values stored in a parallel array. Determinism: results depend only on
@@ -16,7 +16,6 @@
 // (lint rule R5 by construction).
 #pragma once
 
-#include <cassert>
 #include <vector>
 
 #include "common/types.hpp"
@@ -25,8 +24,8 @@ namespace cnt {
 
 namespace detail {
 
-/// splitmix64 finalizer: full-avalanche mixing so clustered keys (line
-/// numbers, page numbers) spread across the table.
+/// splitmix64 finalizer: full-avalanche mixing so clustered keys (page
+/// numbers, granule numbers) spread across the table.
 [[nodiscard]] constexpr u64 hash_mix_u64(u64 x) noexcept {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -35,64 +34,6 @@ namespace detail {
 }
 
 }  // namespace detail
-
-/// Insert-only set of u64 keys. One flat slot array; the all-ones key is
-/// reserved as the empty-slot sentinel and tracked with a flag so every
-/// u64 value remains storable.
-class U64Set {
- public:
-  U64Set() : slots_(kInitialCapacity, kEmpty) {}
-
-  /// Insert `key`; returns true when it was not present before.
-  bool insert(u64 key) {
-    if (key == kEmpty) {
-      const bool fresh = !has_empty_key_;
-      has_empty_key_ = true;
-      return fresh;
-    }
-    if ((size_ + 1) * 8 >= slots_.size() * 7) grow();
-    const usize i = probe(slots_, key);
-    if (slots_[i] == key) return false;
-    slots_[i] = key;
-    ++size_;
-    return true;
-  }
-
-  [[nodiscard]] bool contains(u64 key) const noexcept {
-    if (key == kEmpty) return has_empty_key_;
-    return slots_[probe(slots_, key)] == key;
-  }
-
-  [[nodiscard]] usize size() const noexcept {
-    return size_ + (has_empty_key_ ? 1 : 0);
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
- private:
-  static constexpr u64 kEmpty = ~u64{0};
-  static constexpr usize kInitialCapacity = 1024;  // power of two
-
-  /// Index of the slot holding `key` or of the empty slot where it belongs.
-  [[nodiscard]] static usize probe(const std::vector<u64>& slots,
-                                   u64 key) noexcept {
-    const usize mask = slots.size() - 1;
-    usize i = static_cast<usize>(detail::hash_mix_u64(key)) & mask;
-    while (slots[i] != kEmpty && slots[i] != key) i = (i + 1) & mask;
-    return i;
-  }
-
-  void grow() {
-    std::vector<u64> bigger(slots_.size() * 2, kEmpty);
-    for (const u64 key : slots_) {
-      if (key != kEmpty) bigger[probe(bigger, key)] = key;
-    }
-    slots_.swap(bigger);
-  }
-
-  std::vector<u64> slots_;
-  usize size_ = 0;
-  bool has_empty_key_ = false;
-};
 
 /// Insert-only map from u64 keys to trivially-copyable values, laid out as
 /// a flat key array plus a parallel value array.
@@ -110,7 +51,7 @@ class U64Map {
       }
       return empty_value_;
     }
-    if ((size_ + 1) * 8 >= keys_.size() * 7) grow();
+    if ((size_ + 1) * 8 >= keys_.size() * 7) rehash(keys_.size() * 2);
     const usize i = probe(keys_, key);
     if (keys_[i] != key) {
       keys_[i] = key;
@@ -130,6 +71,26 @@ class U64Map {
     return const_cast<V*>(static_cast<const U64Map*>(this)->find(key));
   }
 
+  /// Size the table so `n` more keys insert without a rehash.
+  void reserve(usize n) {
+    usize cap = keys_.size();
+    while ((size_ + n) * 8 >= cap * 7) cap *= 2;
+    if (cap != keys_.size()) rehash(cap);
+  }
+
+  /// Pull the home slot of `key` toward the CPU caches. No probe: a hit
+  /// usually sits in the home slot, and a miss costs nothing here.
+  void prefetch(u64 key) const noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    const usize i =
+        static_cast<usize>(detail::hash_mix_u64(key)) & (keys_.size() - 1);
+    __builtin_prefetch(&keys_[i], 0, 1);
+    __builtin_prefetch(&values_[i], 0, 1);
+#else
+    (void)key;
+#endif
+  }
+
   [[nodiscard]] usize size() const noexcept {
     return size_ + (has_empty_key_ ? 1 : 0);
   }
@@ -147,9 +108,9 @@ class U64Map {
     return i;
   }
 
-  void grow() {
-    std::vector<u64> keys(keys_.size() * 2, kEmpty);
-    std::vector<V> values(keys_.size() * 2);
+  void rehash(usize capacity) {
+    std::vector<u64> keys(capacity, kEmpty);
+    std::vector<V> values(capacity);
     for (usize i = 0; i < keys_.size(); ++i) {
       if (keys_[i] == kEmpty) continue;
       const usize j = probe(keys, keys_[i]);

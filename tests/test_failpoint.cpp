@@ -104,7 +104,7 @@ TEST(FailpointCatalog, IsSortedAndCoversEveryWriterFamily) {
   const auto& catalog = fp::site_catalog();
   EXPECT_TRUE(std::is_sorted(catalog.begin(), catalog.end()));
   for (const char* site :
-       {"bench.write", "csv.rename", "engine.job", "journal.sync",
+       {"csv.rename", "engine.job", "journal.sync",
         "stats.write", "trace.rename", "trs.write"}) {
     EXPECT_TRUE(std::binary_search(catalog.begin(), catalog.end(),
                                    std::string(site)))
@@ -118,11 +118,10 @@ TEST(FailpointCatalog, IsSortedAndCoversEveryWriterFamily) {
 // test, the docs and the harness together.
 TEST(FailpointCatalog, SiteAndActionListsArePinned) {
   const std::vector<std::string> sites = {
-      "bench.rename", "bench.sync",    "bench.write",  "csv.rename",
-      "csv.sync",     "csv.write",     "engine.job",   "journal.rename",
-      "journal.sync", "journal.write", "stats.rename", "stats.sync",
-      "stats.write",  "trace.rename",  "trace.sync",   "trace.write",
-      "trs.sync",     "trs.write",
+      "csv.rename",   "csv.sync",      "csv.write",    "engine.job",
+      "journal.rename", "journal.sync", "journal.write", "stats.rename",
+      "stats.sync",   "stats.write",   "trace.rename", "trace.sync",
+      "trace.write",  "trs.sync",      "trs.write",
   };
   EXPECT_EQ(fp::site_catalog(), sites);
 

@@ -15,13 +15,17 @@
 //   * srv_stream: a srv_* server-traffic trace replayed from a chunked
 //     on-disk .trs file (batched TraceSource pull loop),
 //   * fault_secded: a fault campaign with SECDED protection (the fault
-//     hook rides the same array paths the refactor touched).
+//     hook rides the same array paths the refactor touched),
+//   * hierarchy_srv_writeburst: run_hierarchy() over ifetch plus the
+//     sparse srv_writeburst init image (the backing store's sparse load
+//     and the L1 -> L2 -> DRAM line traffic).
 //
 // Regenerating fixtures is a deliberate act: run with CNT_UPDATE_GOLDEN=1
 // and commit the diff with an explanation of why results were allowed to
 // change. The variable is read once per process, so a stray environment
 // cannot silently re-baseline a CI run.
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,6 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
+#include "sim/hierarchy_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats_dump.hpp"
 #include "trace/gen/server_traffic.hpp"
@@ -117,6 +123,94 @@ TEST(GoldenLedgers, FaultSecded) {
   cfg.fault.protection = ProtectionScheme::kSecded;
   const Workload w = build_workload("zipf_kv", /*scale=*/0.1);
   check_against_golden("fault_secded", render(simulate(w, cfg)));
+}
+
+// Exact rendering of a double: C99 hex float, independent of decimal
+// rounding.
+std::string hex(double v) {
+  std::array<char, 40> buf{};
+  (void)std::snprintf(buf.data(), buf.size(), "%a", v);
+  return buf.data();
+}
+std::string hex(Energy e) { return hex(e.in_joules()); }
+
+// Per-level ledgers (hex joules plus charge counts), full cache stats,
+// DRAM energy and the backing store's traffic counters.
+std::string render(const HierarchyRunResult& r, u64 line_reads,
+                   u64 line_writes, u64 word_writes) {
+  std::ostringstream os;
+  JsonWriter j(os);
+  j.begin_object();
+  j.key("levels");
+  j.begin_array();
+  for (const LevelResult& l : r.levels) {
+    j.begin_object();
+    j.kv("level", l.level);
+    j.kv("adaptive", l.adaptive);
+    j.key("cache");
+    j.begin_object();
+    j.kv("accesses", l.stats.accesses);
+    j.kv("read_hits", l.stats.read_hits);
+    j.kv("read_misses", l.stats.read_misses);
+    j.kv("write_hits", l.stats.write_hits);
+    j.kv("write_misses", l.stats.write_misses);
+    j.kv("write_arounds", l.stats.write_arounds);
+    j.kv("fills", l.stats.fills);
+    j.kv("evictions", l.stats.evictions);
+    j.kv("writebacks", l.stats.writebacks);
+    j.end_object();
+    j.kv("total_j", hex(l.ledger.total()));
+    j.key("categories");
+    j.begin_object();
+    for (usize c = 0; c < static_cast<usize>(EnergyCategory::kCount); ++c) {
+      const auto cat = static_cast<EnergyCategory>(c);
+      if (l.ledger.count(cat) == 0) continue;
+      j.key(to_string(cat));
+      j.begin_object();
+      j.kv("joules", hex(l.ledger.get(cat)));
+      j.kv("charges", l.ledger.count(cat));
+      j.end_object();
+    }
+    j.end_object();
+    j.end_object();
+  }
+  j.end_array();
+  j.kv("dram_j", hex(r.dram_energy));
+  j.key("memory");
+  j.begin_object();
+  j.kv("line_reads", line_reads);
+  j.kv("line_writes", line_writes);
+  j.kv("word_writes", word_writes);
+  j.end_object();
+  j.end_object();
+  os << '\n';
+  return os.str();
+}
+
+TEST(GoldenLedgers, HierarchySrvWriteburst) {
+  // The sparse init path: srv_writeburst's record table is thousands of
+  // 8-byte runs, so the backing store's load, fills and writebacks all
+  // cross the sparse representation. CNT-Cache at every level exercises
+  // the L1 -> L2 write path.
+  const Workload code = build_workload("ifetch", /*scale=*/0.05);
+  const Workload data = build_workload("srv_writeburst", /*scale=*/0.02);
+  HierarchyRunConfig cfg;
+  cfg.cnt_at_l1i = cfg.cnt_at_l1d = cfg.cnt_at_l2 = true;
+  const HierarchyRunResult r = run_hierarchy(cfg, code, data);
+  // run_hierarchy() owns its MainMemory, so each traffic counter is read
+  // back as the DRAM energy of a rerun that charges 1 J per event of that
+  // kind and nothing for the others.
+  auto count = [&](Energy DramParams::*unit) {
+    HierarchyRunConfig c = cfg;
+    c.dram = DramParams{Energy{}, Energy{}, Energy{}};
+    c.dram.*unit = Energy::joules(1.0);
+    return static_cast<u64>(run_hierarchy(c, code, data).dram_energy.in_joules());
+  };
+  check_against_golden(
+      "hierarchy_srv_writeburst",
+      render(r, count(&DramParams::per_line_read),
+             count(&DramParams::per_line_write),
+             count(&DramParams::per_word_write)));
 }
 
 }  // namespace

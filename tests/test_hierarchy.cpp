@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +18,33 @@ TEST(Hierarchy, TypicalConfigValid) {
   EXPECT_NO_THROW(cfg.l2.validate());
   EXPECT_EQ(cfg.l1d.size_bytes, 32u * 1024);
   EXPECT_EQ(cfg.l2.size_bytes, 256u * 1024);
+}
+
+TEST(Hierarchy, RejectsL2LineSizeDifferentFromL1) {
+  MainMemory mem;
+  auto cfg = HierarchyConfig::typical();
+  cfg.l2.line_bytes = 128;  // longer than both L1s' 64 B lines
+  EXPECT_THROW(Hierarchy(cfg, mem), std::invalid_argument);
+  cfg.l2.line_bytes = 32;
+  EXPECT_THROW(Hierarchy(cfg, mem), std::invalid_argument);
+}
+
+TEST(Hierarchy, RejectsL1ILineSizeDifferentFromL1D) {
+  MainMemory mem;
+  auto cfg = HierarchyConfig::typical();
+  cfg.l1i.line_bytes = 32;
+  try {
+    Hierarchy h(cfg, mem);
+    FAIL() << "mismatched L1I line size accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("L1I"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("L2"), std::string::npos)
+        << e.what();
+  }
+  // Without an L2 each L1 fills straight from memory, at any line size.
+  cfg.enable_l2 = false;
+  EXPECT_NO_THROW(Hierarchy(cfg, mem));
 }
 
 TEST(Hierarchy, RoutesByOp) {

@@ -37,7 +37,6 @@
 #include "child_harness.hpp"
 #include "common/csv.hpp"
 #include "common/failpoint.hpp"
-#include "common/io.hpp"
 #include "exec/engine.hpp"
 #include "sim/runner.hpp"
 #include "sim/stats_dump.hpp"
@@ -134,18 +133,6 @@ void run_trace(const std::string& dir) {
   save_trace(t, dir + "/torture.trc");
 }
 
-void run_bench_emit(const std::string& dir) {
-  // The same AtomicFileWriter path the perf benches publish through,
-  // minus the (slow) measurement itself.
-  io::AtomicFileWriter out(dir + "/BENCH_torture.json", "bench");
-  out.stream() << "{\"schema\":\"cnt-crash-torture\",\"rows\":[";
-  for (u64 i = 0; i < 32; ++i) {
-    out.stream() << (i == 0 ? "" : ",") << i * 7;
-  }
-  out.stream() << "]}\n";
-  out.commit();
-}
-
 // ---------------------------------------------------------------------------
 // Parent-side verification.
 
@@ -224,12 +211,6 @@ std::vector<Scenario> scenarios() {
                        run_trace,
                        nullptr,
                        "torture.trc",
-                       false});
-  s.push_back(Scenario{"bench",
-                       {"bench.write", "bench.sync", "bench.rename"},
-                       run_bench_emit,
-                       nullptr,
-                       "BENCH_torture.json",
                        false});
   return s;
 }
