@@ -1,14 +1,15 @@
 // Trace tool: generate suite workloads as portable trace files, inspect
 // them, and replay them through the simulator.
 //
-//   $ ./trace_tool gen <workload> <out.(txt|bin|trs)> [scale]
-//   $ ./trace_tool info <trace-file>
-//   $ ./trace_tool replay <trace-file>
+//   $ ./trace_tool gen <workload> <out.(txt|trs)> [scale]
+//   $ ./trace_tool info <trace.(txt|trs)>
+//   $ ./trace_tool replay <trace.(txt|trs)>
 //
-// The text format is human-readable/editable; the binary format is
-// compact; the .trs chunked format (docs/trace_streaming.md) is compact
-// AND streamable -- info and replay pull it chunk by chunk, so a .trs
-// file larger than RAM still inspects and replays in O(chunk) memory.
+// The text format is human-readable/editable; the .trs chunked format
+// (docs/trace_streaming.md) is compact AND streamable -- info and replay
+// pull it chunk by chunk, so a .trs file larger than RAM still inspects
+// and replays in O(chunk) memory. The extension picks the format
+// (trace/trace_io.hpp).
 // Replaying an external trace only exercises the cache + energy models
 // (no initial memory image travels with a bare trace, so unwritten
 // memory reads as zero).
@@ -19,8 +20,6 @@
 #include "common/table.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
-#include "trace/stream/stream_reader.hpp"
-#include "trace/stream/stream_writer.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/workload_suite.hpp"
 
@@ -30,17 +29,13 @@ namespace {
 
 int usage() {
   std::cerr << "usage:\n"
-            << "  trace_tool gen <workload> <out.(txt|bin|trs)> [scale]\n"
-            << "  trace_tool info <trace-file>\n"
-            << "  trace_tool replay <trace-file>\n"
+            << "  trace_tool gen <workload> <out.(txt|trs)> [scale]\n"
+            << "  trace_tool info <trace.(txt|trs)>\n"
+            << "  trace_tool replay <trace.(txt|trs)>\n"
             << "workloads:";
   for (const auto& n : suite_names()) std::cerr << ' ' << n;
   std::cerr << " ifetch\n";
   return 1;
-}
-
-bool is_streamed(const std::string& path) {
-  return path.size() > 4 && path.compare(path.size() - 4, 4, ".trs") == 0;
 }
 
 void print_info(const std::string& name, const TraceStats& s) {
@@ -74,40 +69,18 @@ int main(int argc, char** argv) {
       if (argc < 4) return usage();
       const double scale = argc > 4 ? std::atof(argv[4]) : 1.0;
       const Workload w = build_workload(argv[2], scale);
-      if (is_streamed(argv[3])) {
-        stream::StreamTraceWriter writer(argv[3]);
-        for (const auto& a : w.trace) writer.push(a);
-        writer.finish();
-      } else {
-        save_trace(w.trace, argv[3]);
-      }
+      save_trace(w.trace, argv[3]);
       std::cout << "wrote " << w.trace.size() << " records to " << argv[3]
                 << "\n";
       print_info(w.trace.name(), w.trace.stats());
     } else if (cmd == "info") {
-      if (is_streamed(argv[2])) {
-        stream::StreamTraceSource src(argv[2]);
-        print_info(src.name(), stats_of(src));
-      } else {
-        const Trace t = load_trace(argv[2]);
-        print_info(t.name(), t.stats());
-      }
+      const auto src = open_trace(argv[2]);
+      print_info(src->name(), stats_of(*src));
     } else if (cmd == "replay") {
-      SimConfig cfg;
-      if (is_streamed(argv[2])) {
-        stream::StreamTraceSource src(argv[2]);
-        const SimResult res = simulate(src, {}, cfg);
-        print_info(src.name(), res.trace_stats);
-        print_replay(res);
-      } else {
-        const Trace t = load_trace(argv[2]);
-        Workload w;
-        w.name = t.name();
-        w.trace = t;
-        const SimResult res = simulate(w, cfg);
-        print_info(t.name(), res.trace_stats);
-        print_replay(res);
-      }
+      const auto src = open_trace(argv[2]);
+      const SimResult res = simulate(*src, {}, SimConfig{});
+      print_info(src->name(), res.trace_stats);
+      print_replay(res);
     } else {
       return usage();
     }

@@ -119,24 +119,6 @@ Config Config::parse_string(const std::string& text) {
   return parse(ss, "<string>");
 }
 
-Result<Config> Config::try_load(const std::string& path) {
-  try {
-    return Config::load(path);
-  } catch (Error& e) {
-    return std::move(e);
-  }
-}
-
-Result<Config> Config::try_parse_string(const std::string& text,
-                                        std::string source) {
-  try {
-    std::istringstream ss(text);
-    return Config::parse(ss, std::move(source));
-  } catch (Error& e) {
-    return std::move(e);
-  }
-}
-
 bool Config::has(const std::string& key) const {
   return values_.contains(key);
 }

@@ -48,12 +48,6 @@ class Config {
   /// Parse from a string (tests, inline configs).
   [[nodiscard]] static Config parse_string(const std::string& text);
 
-  /// Non-throwing variants for callers that prefer branching (CLIs, the
-  /// fuzz wall). Any thrown cnt::Error is returned instead.
-  [[nodiscard]] static Result<Config> try_load(const std::string& path);
-  [[nodiscard]] static Result<Config> try_parse_string(
-      const std::string& text, std::string source = "<string>");
-
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 

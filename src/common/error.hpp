@@ -1,5 +1,5 @@
 // Structured error taxonomy for the ingest layer (INI configs, traces,
-// journals, JSON/JSONL) and a lightweight Result<T> return path.
+// journals, JSON/JSONL).
 //
 // Every parse failure answers three questions:
 //   what   -- a one-line message naming the problem,
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <istream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -142,34 +141,6 @@ using ValueError = BasicError<std::invalid_argument>;
 /// Rich rendering for CLI error paths: the structured render() when `e`
 /// carries an ErrorInfo, plain what() otherwise.
 [[nodiscard]] std::string format_error(const std::exception& e);
-
-/// expected-style return path for callers that prefer branching over
-/// catching (front-ends, the fuzz wall). Holds either a T or an Error.
-template <typename T>
-class [[nodiscard]] Result {
- public:
-  Result(T value) : value_(std::move(value)) {}        // NOLINT(implicit)
-  Result(Error error) : error_(std::move(error)) {}    // NOLINT(implicit)
-
-  [[nodiscard]] bool ok() const noexcept { return value_.has_value(); }
-  [[nodiscard]] explicit operator bool() const noexcept { return ok(); }
-
-  /// Precondition: ok().
-  [[nodiscard]] const T& value() const& { return *value_; }
-  [[nodiscard]] T& value() & { return *value_; }
-  /// Precondition: !ok().
-  [[nodiscard]] const Error& error() const& { return *error_; }
-
-  /// Move the value out, or throw the stored Error.
-  T or_throw() && {
-    if (!ok()) throw std::move(*error_);
-    return std::move(*value_);
-  }
-
- private:
-  std::optional<T> value_;
-  std::optional<Error> error_;
-};
 
 /// Strict-parse resource caps. Every ingest parser enforces these so a
 /// malformed or hostile input can never trigger unbounded memory growth:

@@ -511,15 +511,6 @@ JsonValue parse_json(std::string_view text, std::string source,
   return JsonParser(text, std::move(source), limits).parse();
 }
 
-Result<JsonValue> try_parse_json(std::string_view text, std::string source,
-                                 const ParseLimits& limits) {
-  try {
-    return parse_json(text, std::move(source), limits);
-  } catch (Error& e) {
-    return std::move(e);
-  }
-}
-
 void JsonWriter::write_escaped(std::string_view s) {
   os_ << '"';
   for (const char c : s) {

@@ -150,9 +150,4 @@ class JsonValue {
                                    const ParseLimits& limits =
                                        kDefaultLimits);
 
-/// Non-throwing variant: the thrown cnt::Error is returned instead.
-[[nodiscard]] Result<JsonValue> try_parse_json(
-    std::string_view text, std::string source = "<json>",
-    const ParseLimits& limits = kDefaultLimits);
-
 }  // namespace cnt

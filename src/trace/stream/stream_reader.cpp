@@ -120,7 +120,7 @@ void StreamTraceSource::read_header() {
                     "', expected 'CNTTRS')")
         .at(name_)
         .hint("chunked traces start with the 6-byte magic 'CNTTRS'; "
-              "monolithic binary traces ('CNTTRC') load via load_trace()");
+              "text traces use the .txt extension");
   }
   const char* version = header + sizeof kStreamMagic;
   if (std::memcmp(version, kStreamVersion, sizeof kStreamVersion) != 0) {

@@ -1,39 +1,31 @@
 #include "trace/trace_io.hpp"
 
-#include <array>
-#include <cctype>
-#include <cstring>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/io.hpp"
+#include "trace/stream/stream_reader.hpp"
+#include "trace/stream/stream_writer.hpp"
 
 namespace cnt {
 
 namespace {
 
-// Binary header: 6-byte format magic + 2-digit version. Splitting the
-// two lets diagnostics distinguish "not a CNT trace at all" (kMagic)
-// from "a CNT trace from an incompatible tool version" (kVersion).
-constexpr char kMagicPrefix[6] = {'C', 'N', 'T', 'T', 'R', 'C'};
-constexpr char kFormatVersion[2] = {'0', '1'};
+enum class TraceFormat : u8 { kText, kStream };
 
-std::string printable(const char* bytes, usize n) {
-  std::string out;
-  for (usize i = 0; i < n; ++i) {
-    const unsigned char c = static_cast<unsigned char>(bytes[i]);
-    if (std::isprint(c) != 0) {
-      out += bytes[i];
-    } else {
-      constexpr char kHex[] = "0123456789abcdef";
-      out += "\\x";
-      out += kHex[c >> 4];
-      out += kHex[c & 0xf];
-    }
-  }
-  return out;
+/// The one place a trace path's extension picks its format.
+TraceFormat format_of(const std::string& path) {
+  if (path.ends_with(".txt")) return TraceFormat::kText;
+  if (path.ends_with(".trs")) return TraceFormat::kStream;
+  throw Error(Errc::kValue, "unsupported trace file extension")
+      .at(path)
+      .hint("trace files are .txt (text, human-editable) or .trs "
+            "(chunked, streamable)");
 }
 
 MemOp parse_op(char c, const std::string& source, usize line_no) {
@@ -46,6 +38,30 @@ MemOp parse_op(char c, const std::string& source, usize line_no) {
   throw Error(Errc::kSyntax, "bad op '" + std::string(1, c) + "'")
       .at(source, line_no)
       .hint("each record starts with R (read), W (write) or I (ifetch)");
+}
+
+/// One whole field as an unsigned number in `base`: digits only, so a
+/// sign, a 0x prefix or anything glued on is a syntax error.
+u64 parse_field(std::string_view tok, int base, const char* what,
+                const std::string& source, usize line_no) {
+  u64 v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v, base);
+  const char* digits = base == 16 ? "hex" : "decimal";
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    throw Error(Errc::kSyntax,
+                std::string("bad ") + what + " '" + std::string(tok) + "'")
+        .at(source, line_no)
+        .hint(std::string(what) + " fields are bare " + digits +
+              " digits: no sign, no prefix, nothing glued on");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    throw Error(Errc::kRange, std::string(what) + " '" + std::string(tok) +
+                                  "' does not fit in 64 bits")
+        .at(source, line_no)
+        .hint("every numeric field is at most 64 bits wide");
+  }
+  return v;
 }
 
 }  // namespace
@@ -68,6 +84,7 @@ Trace read_text(std::istream& is, std::string name,
   Trace trace(name);
   const std::string& source = name;
   std::string line;
+  std::vector<std::string> tok;
   usize line_no = 0;
   for (;;) {
     const LineStatus status = bounded_getline(is, line, limits.max_line_bytes);
@@ -82,25 +99,27 @@ Trace read_text(std::istream& is, std::string name,
           .hint("text trace records are short; this is not a CNT text "
                 "trace");
     }
-    // Strip comments and blank lines.
+    // Strip comments, then split on whitespace; blank lines are skipped.
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ls(line);
-    std::string op_tok;
-    if (!(ls >> op_tok)) continue;
-    if (op_tok.size() != 1) {
-      throw Error(Errc::kSyntax, "bad op token '" + op_tok + "'")
+    tok.clear();
+    for (std::string t; ls >> t;) tok.push_back(std::move(t));
+    if (tok.empty()) continue;
+    if (tok[0].size() != 1) {
+      throw Error(Errc::kSyntax, "bad op token '" + tok[0] + "'")
           .at(source, line_no)
           .hint("each record starts with R (read), W (write) or I (ifetch)");
     }
     MemAccess a;
-    a.op = parse_op(op_tok[0], source, line_no);
-    u32 size = 0;
-    if (!(ls >> std::hex >> a.addr >> std::dec >> size)) {
+    a.op = parse_op(tok[0][0], source, line_no);
+    if (tok.size() < 3) {
       throw Error(Errc::kSyntax, "bad addr/size fields")
           .at(source, line_no)
           .hint("records are '<op> <hex-addr> <decimal-size> [hex-value]'");
     }
+    a.addr = parse_field(tok[1], 16, "address", source, line_no);
+    const u64 size = parse_field(tok[2], 10, "size", source, line_no);
     // Validate before narrowing to u8: a size like 264 would otherwise
     // truncate to 8 and pass valid() silently.
     if (size < 1 || size > 255) {
@@ -110,12 +129,21 @@ Trace read_text(std::istream& is, std::string name,
           .hint("access sizes are bytes per access and fit in 8 bits");
     }
     a.size = static_cast<u8>(size);
+    usize fields = 3;
     if (a.op == MemOp::kWrite) {
-      if (!(ls >> std::hex >> a.value)) {
+      if (tok.size() < 4) {
         throw Error(Errc::kSyntax, "missing write value")
             .at(source, line_no)
             .hint("W records are 'W <hex-addr> <size> <hex-value>'");
       }
+      a.value = parse_field(tok[3], 16, "value", source, line_no);
+      fields = 4;
+    }
+    if (tok.size() > fields) {
+      throw Error(Errc::kSyntax, "trailing field '" + tok[fields] + "'")
+          .at(source, line_no)
+          .hint("records are '<op> <hex-addr> <decimal-size> [hex-value]'; "
+                "start a comment with '#'");
     }
     if (!a.valid()) {
       throw Error(Errc::kRange, "invalid access (size must be 1/2/4/8 and "
@@ -136,126 +164,26 @@ Trace read_text(std::istream& is, std::string name,
   return trace;
 }
 
-void write_binary(const Trace& trace, std::ostream& os) {
-  os.write(kMagicPrefix, sizeof kMagicPrefix);
-  os.write(kFormatVersion, sizeof kFormatVersion);
-  const u64 count = trace.size();
-  os.write(reinterpret_cast<const char*>(&count), 8);
-  for (const auto& a : trace) {
-    std::array<char, 18> rec;
-    std::memcpy(rec.data(), &a.addr, 8);
-    std::memcpy(rec.data() + 8, &a.value, 8);
-    rec[16] = static_cast<char>(a.size);  // cnt-lint: narrow-ok 8-bit field
-    rec[17] = static_cast<char>(a.op);    // cnt-lint: narrow-ok 8-bit field
-    os.write(rec.data(), rec.size());
-  }
-}
-
-Trace read_binary(std::istream& is, std::string name,
-                  const ParseLimits& limits) {
-  const std::string& source = name;
-  char header[8];
-  if (!is.read(header, sizeof header)) {
-    throw Error(Errc::kTruncated, "input ends inside the 8-byte header")
-        .at(source)
-        .hint("the file is empty or truncated; not a usable CNT trace");
-  }
-  if (std::memcmp(header, kMagicPrefix, sizeof kMagicPrefix) != 0) {
-    throw Error(Errc::kMagic,
-                "not a CNT trace (magic is '" +
-                    printable(header, sizeof kMagicPrefix) +
-                    "', expected 'CNTTRC')")
-        .at(source)
-        .hint("binary traces start with the 6-byte magic 'CNTTRC'; for "
-              "text traces use the .txt extension");
-  }
-  const char* version = header + sizeof kMagicPrefix;
-  if (std::memcmp(version, kFormatVersion, sizeof kFormatVersion) != 0) {
-    throw Error(Errc::kVersion,
-                "unsupported trace format version '" +
-                    printable(version, sizeof kFormatVersion) +
-                    "' (this build reads version 01)")
-        .at(source)
-        .hint("regenerate the trace with this build's save_trace(), or "
-              "convert it via the text format");
-  }
-  u64 count = 0;
-  if (!is.read(reinterpret_cast<char*>(&count), 8)) {
-    throw Error(Errc::kTruncated, "input ends inside the record count")
-        .at(source)
-        .hint("the header is incomplete; the file was likely cut short");
-  }
-  if (count > limits.max_records) {
-    throw Error(Errc::kLimit,
-                "header declares " + std::to_string(count) +
-                    " records, above the strict-parse cap of " +
-                    std::to_string(limits.max_records))
-        .at(source)
-        .hint("a corrupt count would otherwise drive unbounded reads; "
-              "raise ParseLimits::max_records if this is a real trace");
-  }
-  Trace trace(std::move(name));
-  // Pre-reserve from the declared count, but never more than the
-  // allocation cap: a corrupted count must not OOM the process. Larger
-  // traces still load; the vector then grows with actual records.
-  constexpr usize kRecordMem = sizeof(MemAccess);
-  trace.reserve(std::min<u64>(count, limits.max_reserve_bytes / kRecordMem));
-  for (u64 i = 0; i < count; ++i) {
-    std::array<char, 18> rec;
-    if (!is.read(rec.data(), rec.size())) {
-      throw Error(Errc::kTruncated,
-                  "input ends at record " + std::to_string(i) + " of " +
-                      std::to_string(count))
-          .at(source)
-          .hint("the file was cut short; re-capture or re-copy the trace");
-    }
-    MemAccess a;
-    std::memcpy(&a.addr, rec.data(), 8);
-    std::memcpy(&a.value, rec.data() + 8, 8);
-    a.size = static_cast<u8>(rec[16]);  // cnt-lint: narrow-ok same width
-    const auto op_raw = static_cast<u8>(rec[17]);
-    if (op_raw > static_cast<u8>(MemOp::kIFetch)) {
-      throw Error(Errc::kRange,
-                  "bad op byte " + std::to_string(op_raw) + " in record " +
-                      std::to_string(i))
-          .at(source)
-          .hint("op bytes are 0 (read), 1 (write) or 2 (ifetch)");
-    }
-    a.op = static_cast<MemOp>(op_raw);
-    if (!a.valid()) {
-      throw Error(Errc::kRange,
-                  "invalid access in record " + std::to_string(i) +
-                      " (size must be 1/2/4/8 and the address "
-                      "size-aligned)")
-          .at(source)
-          .hint("capture traces with the in-tree tools to get aligned "
-                "power-of-two accesses");
-    }
-    trace.push(a);
-  }
-  return trace;
-}
-
 void save_trace(const Trace& trace, const std::string& path) {
-  const bool text = path.size() >= 4 &&
-                    path.compare(path.size() - 4, 4, ".txt") == 0;
+  if (format_of(path) == TraceFormat::kStream) {
+    stream::StreamTraceWriter writer(path);
+    for (const auto& a : trace) writer.push(a);
+    writer.finish();
+    return;
+  }
   // Publish-atomic (docs/crash_consistency.md): the trace appears at
   // `path` only after a checked write + fsync + rename, so a killed or
   // failed save never leaves a truncated readable-looking trace.
   io::AtomicFileWriter out(path, "trace");
-  if (text) {
-    write_text(trace, out.stream());
-  } else {
-    write_binary(trace, out.stream());
-  }
+  write_text(trace, out.stream());
   out.commit();
 }
 
-Trace load_trace(const std::string& path) {
-  const bool text = path.size() >= 4 &&
-                    path.compare(path.size() - 4, 4, ".txt") == 0;
-  std::ifstream in(path, text ? std::ios::in
-                              : std::ios::in | std::ios::binary);
+std::unique_ptr<TraceSource> open_trace(const std::string& path) {
+  if (format_of(path) == TraceFormat::kStream) {
+    return std::make_unique<stream::StreamTraceSource>(path);
+  }
+  std::ifstream in(path);
   if (!in) {
     throw Error(Errc::kIo, "cannot open trace file")
         .at(path)
@@ -263,18 +191,8 @@ Trace load_trace(const std::string& path) {
   }
   // Trace name = file basename.
   const auto slash = path.find_last_of('/');
-  std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  return text ? read_text(in, std::move(name))
-              : read_binary(in, std::move(name));
-}
-
-Result<Trace> try_load_trace(const std::string& path) {
-  try {
-    return load_trace(path);
-  } catch (Error& e) {
-    return std::move(e);
-  }
+  return std::make_unique<VectorTraceSource>(read_text(
+      in, slash == std::string::npos ? path : path.substr(slash + 1)));
 }
 
 }  // namespace cnt

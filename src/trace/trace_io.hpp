@@ -1,29 +1,28 @@
-// Trace serialization: a human-readable text format and a compact binary
-// format, so traces can be captured once and replayed across experiments or
-// exchanged with external tools.
+// Trace files: one format for people and one for machines, chosen by the
+// file extension in exactly one place (this module).
 //
-// Text format (one record per line, '#' comments allowed):
-//   R <hex-addr> <size>
-//   W <hex-addr> <size> <hex-value>
-//   I <hex-addr> <size>
+//   .txt  text, one record per line ('#' comments allowed):
+//           R <hex-addr> <size>
+//           W <hex-addr> <size> <hex-value>
+//           I <hex-addr> <size>
+//   .trs  chunked, CRC-sealed and streamable (docs/trace_streaming.md).
 //
-// Binary format: 6-byte magic "CNTTRC" + 2-digit format version "01",
-// u64 record count, then per record {u64 addr, u64 value, u8 size, u8 op}
-// packed little-endian. (The byte stream is identical to the historical
-// single "CNTTRC01" magic, so every existing trace still loads.)
+// Any other extension is refused with a structured error; there is no
+// magic sniffing and no fallback reader.
 //
-// All readers are strict (docs/error_handling.md): failures throw
-// cnt::Error carrying the source name, a line number or record index and
-// a fix-it hint; a wrong magic (Errc::kMagic, "not a CNT trace") is
-// distinguished from an unsupported version (Errc::kVersion); and
-// ParseLimits bound line lengths, record counts and the preallocation a
-// corrupted header can trigger.
+// The text reader is strict (docs/error_handling.md): fields are bare
+// hex (address, value) or decimal (size) digits with no sign, no prefix
+// and nothing glued on, a record carries no trailing tokens, and every
+// failure throws cnt::Error naming the source and line with a fix-it
+// hint. ParseLimits bound line lengths and record counts.
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "common/error.hpp"
+#include "trace/stream/trace_source.hpp"
 #include "trace/trace.hpp"
 
 namespace cnt {
@@ -36,19 +35,14 @@ void write_text(const Trace& trace, std::ostream& os);
 [[nodiscard]] Trace read_text(std::istream& is, std::string name = "trace",
                               const ParseLimits& limits = kDefaultLimits);
 
-/// Serialize to the binary format.
-void write_binary(const Trace& trace, std::ostream& os);
-
-/// Parse the binary format. Throws cnt::Error on bad magic, unsupported
-/// version, truncation, limit violations, or invalid records.
-[[nodiscard]] Trace read_binary(std::istream& is, std::string name = "trace",
-                                const ParseLimits& limits = kDefaultLimits);
-
-/// File-path conveniences; format chosen by extension (".txt" vs other).
+/// Write `trace` to `path`: `.txt` publish-atomically as text, `.trs` as
+/// a sealed chunked file at the default chunk capacity. Any other
+/// extension throws before a file is created.
 void save_trace(const Trace& trace, const std::string& path);
-[[nodiscard]] Trace load_trace(const std::string& path);
 
-/// Non-throwing variant of load_trace for CLIs and the fuzz wall.
-[[nodiscard]] Result<Trace> try_load_trace(const std::string& path);
+/// Open `path` for replay: a `.txt` file loads into an owning
+/// VectorTraceSource named by the file's basename; a `.trs` file streams
+/// chunk by chunk. Any other extension throws.
+[[nodiscard]] std::unique_ptr<TraceSource> open_trace(const std::string& path);
 
 }  // namespace cnt

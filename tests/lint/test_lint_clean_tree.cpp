@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "driver.hpp"
+#include "rules.hpp"
 
 namespace cnt::lint {
 namespace {
@@ -52,8 +53,9 @@ TEST(LintCleanTree, FixtureDirectoryIsNotClean) {
   LintOptions opts;
   opts.paths = {std::string(CNT_LINT_SOURCE_ROOT) + "/tests/lint/fixtures"};
   const LintReport report = run_lint(opts);
-  EXPECT_EQ(report.files_scanned, 12u);
-  EXPECT_EQ(report.findings.size(), 12u);
+  // One fixture per catalog rule, each with exactly one finding.
+  EXPECT_EQ(report.files_scanned, rule_catalog().size());
+  EXPECT_EQ(report.findings.size(), rule_catalog().size());
 }
 
 }  // namespace

@@ -44,16 +44,20 @@ TEST(ErrorTaxonomy, ErrcNamesAreStable) {
 }
 
 TEST(GoldenIni, DuplicateKeyNamesPathLineAndFix) {
-  const auto r = Config::try_parse_string("[s]\nk = 1\nk = 2\n", "sim.ini");
-  ASSERT_FALSE(r.ok());
-  const ErrorInfo& info = r.error().info();
-  EXPECT_EQ(info.code, Errc::kDuplicateKey);
-  EXPECT_EQ(info.message, "key 's.k' is defined more than once");
-  EXPECT_EQ(info.source, "sim.ini");
-  EXPECT_EQ(info.line, 3u);
-  EXPECT_EQ(info.hint,
-            "remove the duplicate; earlier definitions would otherwise be "
-            "silently overridden");
+  std::istringstream is("[s]\nk = 1\nk = 2\n");
+  try {
+    (void)Config::parse(is, "sim.ini");
+    FAIL() << "must throw";
+  } catch (const Error& e) {
+    const ErrorInfo& info = e.info();
+    EXPECT_EQ(info.code, Errc::kDuplicateKey);
+    EXPECT_EQ(info.message, "key 's.k' is defined more than once");
+    EXPECT_EQ(info.source, "sim.ini");
+    EXPECT_EQ(info.line, 3u);
+    EXPECT_EQ(info.hint,
+              "remove the duplicate; earlier definitions would otherwise be "
+              "silently overridden");
+  }
 }
 
 TEST(GoldenTraceText, BadOpNamesSourceLineAndGrammar) {
@@ -68,20 +72,6 @@ TEST(GoldenTraceText, BadOpNamesSourceLineAndGrammar) {
     EXPECT_EQ(e.info().line, 2u);
     EXPECT_EQ(e.info().hint,
               "each record starts with R (read), W (write) or I (ifetch)");
-  }
-}
-
-TEST(GoldenTraceBinary, WrongMagicSaysNotACntTrace) {
-  std::istringstream is(std::string("GZIP\x01\x02\x03\x04", 8));
-  try {
-    (void)read_binary(is, "blob.trc");
-    FAIL() << "must throw";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.info().code, Errc::kMagic);
-    EXPECT_NE(e.info().message.find("not a CNT trace"), std::string::npos);
-    EXPECT_NE(e.info().message.find("expected 'CNTTRC'"), std::string::npos);
-    EXPECT_EQ(e.info().source, "blob.trc");
-    EXPECT_NE(e.info().hint.find("6-byte magic"), std::string::npos);
   }
 }
 
@@ -272,16 +262,6 @@ TEST(ErrorTaxonomy, NearestMatchSuggestsCloseKeysOnly) {
   EXPECT_EQ(nearest_match("cache.siez", known), "cache.size");
   EXPECT_EQ(nearest_match("cnt.window", known), "cnt.window");
   EXPECT_EQ(nearest_match("zzzzzz", known), "");
-}
-
-TEST(ErrorTaxonomy, ResultOrThrowRoundTrips) {
-  Result<int> good(7);
-  EXPECT_TRUE(good.ok());
-  EXPECT_EQ(std::move(good).or_throw(), 7);
-  Result<int> bad(Error(Errc::kRange, "out of range"));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code(), Errc::kRange);
-  EXPECT_THROW((void)std::move(bad).or_throw(), Error);
 }
 
 }  // namespace

@@ -77,9 +77,7 @@ TEST_P(FuzzWall, RerunsAreByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllTargets, FuzzWall,
-    ::testing::Values(FuzzTarget::kIni, FuzzTarget::kTraceText,
-                      FuzzTarget::kTraceBinary, FuzzTarget::kJournal,
-                      FuzzTarget::kJsonl, FuzzTarget::kTraceStream),
+    ::testing::ValuesIn(kAllTargets),
     [](const ::testing::TestParamInfo<FuzzTarget>& param) {
       return std::string(target_name(param.param));
     });
@@ -98,16 +96,16 @@ TEST(FuzzMutator, IsDeterministicPerSeed) {
 }
 
 TEST(FuzzCorpus, HexDecodingRoundTrips) {
-  // The binary-trace corpus is stored hex-encoded; decoded entries must
+  // The streamed-trace corpus is stored hex-encoded; decoded entries must
   // start with the trace magic (seed entries) and load in sorted order.
-  const auto corpus = load_corpus(corpus_dir(FuzzTarget::kTraceBinary));
+  const auto corpus = load_corpus(corpus_dir(FuzzTarget::kTraceStream));
   for (usize i = 1; i < corpus.size(); ++i) {
     EXPECT_LT(corpus[i - 1].name, corpus[i].name);
   }
   for (const CorpusEntry& entry : corpus) {
     if (entry.name.rfind("seed_", 0) == 0) {
       ASSERT_GE(entry.data.size(), 8u) << entry.name;
-      EXPECT_EQ(entry.data.substr(0, 6), "CNTTRC") << entry.name;
+      EXPECT_EQ(entry.data.substr(0, 6), "CNTTRS") << entry.name;
     }
   }
 }

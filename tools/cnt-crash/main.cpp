@@ -130,7 +130,7 @@ void run_trace(const std::string& dir) {
     a.value = i ^ 0x5a5a5a5aULL;
     t.push(a);
   }
-  save_trace(t, dir + "/torture.trc");
+  save_trace(t, dir + "/torture.txt");
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ std::vector<Scenario> scenarios() {
                        {"trace.write", "trace.sync", "trace.rename"},
                        run_trace,
                        nullptr,
-                       "torture.trc",
+                       "torture.txt",
                        false});
   return s;
 }

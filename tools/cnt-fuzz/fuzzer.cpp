@@ -72,7 +72,6 @@ std::string_view target_name(FuzzTarget t) noexcept {
   switch (t) {
     case FuzzTarget::kIni: return "ini";
     case FuzzTarget::kTraceText: return "trace_text";
-    case FuzzTarget::kTraceBinary: return "trace";
     case FuzzTarget::kJournal: return "journal";
     case FuzzTarget::kJsonl: return "jsonl";
     case FuzzTarget::kTraceStream: return "trace_stream";
@@ -140,11 +139,6 @@ FuzzOutcome classify(FuzzTarget t, const std::string& input) {
       case FuzzTarget::kTraceText: {
         std::istringstream is(input);
         (void)read_text(is, "fuzz", kFuzzLimits);
-        break;
-      }
-      case FuzzTarget::kTraceBinary: {
-        std::istringstream is(input);
-        (void)read_binary(is, "fuzz", kFuzzLimits);
         break;
       }
       case FuzzTarget::kJournal: {

@@ -28,19 +28,20 @@
 
 namespace cnt::fuzz {
 
-/// The six ingest parsers under the wall.
+/// The five ingest parsers under the wall. Values are pinned: a target's
+/// value is part of its test id, so a retired target leaves a gap (2 was
+/// the CNTTRC01 binary trace reader) instead of renumbering the rest.
 enum class FuzzTarget : u8 {
-  kIni,          ///< Config::parse (INI)
-  kTraceText,    ///< read_text (text trace)
-  kTraceBinary,  ///< read_binary (binary trace)
-  kJournal,      ///< exec::read_journal (sealed JSONL journal)
-  kJsonl,        ///< parse_json per line (telemetry rows)
-  kTraceStream,  ///< stream::StreamTraceSource (chunked columnar trace)
+  kIni = 0,          ///< Config::parse (INI)
+  kTraceText = 1,    ///< read_text (text trace)
+  kJournal = 3,      ///< exec::read_journal (sealed JSONL journal)
+  kJsonl = 4,        ///< parse_json per line (telemetry rows)
+  kTraceStream = 5,  ///< stream::StreamTraceSource (chunked columnar trace)
 };
 
 inline constexpr FuzzTarget kAllTargets[] = {
-    FuzzTarget::kIni,     FuzzTarget::kTraceText, FuzzTarget::kTraceBinary,
-    FuzzTarget::kJournal, FuzzTarget::kJsonl,     FuzzTarget::kTraceStream};
+    FuzzTarget::kIni, FuzzTarget::kTraceText, FuzzTarget::kJournal,
+    FuzzTarget::kJsonl, FuzzTarget::kTraceStream};
 
 /// Stable name ("ini", "trace_text", ...); doubles as the corpus
 /// subdirectory name under tests/fuzz/corpus/.

@@ -29,8 +29,7 @@ struct LintReport {
 [[nodiscard]] bool lintable_file(const std::string& path);
 
 /// Lint one in-memory buffer (tests use this to avoid disk fixtures).
-/// The TreeContext (R9 guards, R11 Result functions) is harvested from
-/// the buffer itself.
+/// The TreeContext (R9 guards) is harvested from the buffer itself.
 [[nodiscard]] std::vector<Finding> lint_buffer(
     std::string path, std::string_view content,
     const std::vector<std::string>& rules = {});

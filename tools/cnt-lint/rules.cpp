@@ -176,8 +176,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "guarded-by member touched without holding the named mutex"},
       {"R10", "hot-alloc", "hot-ok",
        "allocation or string construction inside a // cnt-hot function"},
-      {"R11", "unchecked-result", "result-ok",
-       "statement-position Result<T> call whose value is dropped"},
       {"R12", "bare-wait", "wait-ok",
        "bare sleep or unbounded cv wait outside the cancellation layer"},
   };
@@ -961,70 +959,10 @@ void check_r10_hot_alloc(const SourceFile& file, std::vector<Finding>& out) {
   }
 }
 
-// --- R11: dropped Result<T> values ----------------------------------------
-//
-// cnt::Result<T> is the no-throw error channel (common/error.hpp); its
-// class-level [[nodiscard]] is defeated by patterns the compiler cannot
-// see through (macro wrappers, comma operators) and by builds with
-// warnings off. R11 closes the gap structurally: calls to functions
-// *declared* to return Result<...> anywhere in the scanned tree are
-// flagged when they sit in statement position with the value neither
-// bound, returned, passed on, nor `.or_throw()`'d. Intentional
-// fire-and-forget calls annotate `// cnt-lint: result-ok`.
-void check_r11_unchecked_result(const SourceFile& file, const TreeContext& ctx,
-                                std::vector<Finding>& out) {
-  if (ctx.result_functions.empty()) return;
-  const RuleInfo& rule = rule_catalog()[10];
-  const Tokens& toks = file.tokens;
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdent || !toks[i + 1].is_punct("(")) continue;
-    if (ctx.result_functions.count(t.text) == 0) continue;
-    // Walk back over `ident::` qualification to the statement head.
-    std::size_t k = i;
-    while (k >= 2 && toks[k - 1].is_punct("::") &&
-           toks[k - 2].kind == TokKind::kIdent) {
-      k -= 2;
-    }
-    if (k == 0) continue;
-    const Token& prev = toks[k - 1];
-    // `obj.call(...)` / assignments / returns all consume the value.
-    if (!(prev.is_punct(";") || prev.is_punct("{") || prev.is_punct("}"))) {
-      continue;
-    }
-    const std::size_t close = match_forward(toks, i + 1, "(", ")");
-    if (close == toks.size() || close + 1 >= toks.size()) continue;
-    if (toks[close + 1].is_punct(";")) {
-      report(file, t.line, rule,
-             "result of '" + t.text +
-                 "(...)' (returns cnt::Result) is dropped; bind it, return "
-                 "it, or call .or_throw() (annotate intentional "
-                 "fire-and-forget with // cnt-lint: result-ok)",
-             out);
-    }
-  }
-}
-
 // --- context harvesting ----------------------------------------------------
 
 void harvest_context(const SourceFile& file, TreeContext& ctx) {
   const Tokens& toks = file.tokens;
-
-  // Result<T>-returning declarations: `Result < ... > [Qual::]name (`.
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!toks[i].is_ident("Result") || !toks[i + 1].is_punct("<")) continue;
-    const std::size_t close = match_forward(toks, i + 1, "<", ">");
-    if (close == toks.size()) continue;
-    std::size_t j = close + 1;
-    while (j + 2 < toks.size() && toks[j].kind == TokKind::kIdent &&
-           toks[j + 1].is_punct("::")) {
-      j += 2;
-    }
-    if (j + 1 < toks.size() && toks[j].kind == TokKind::kIdent &&
-        toks[j + 1].is_punct("(")) {
-      ctx.result_functions.insert(toks[j].text);
-    }
-  }
 
   // guarded-by annotations: resolve each to the declaration it covers
   // (tokens on the marker's line, else the first tokens below -- the
@@ -1100,7 +1038,7 @@ void check_r12_bare_wait(const SourceFile& file, std::vector<Finding>& out) {
       file.path.find("common/failpoint.") != std::string::npos) {
     return;
   }
-  const RuleInfo& rule = rule_catalog()[11];
+  const RuleInfo& rule = rule_catalog()[10];
   const Tokens& toks = file.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
@@ -1152,7 +1090,6 @@ void run_rules(const SourceFile& file, const std::vector<std::string>& enabled,
   if (on("R8")) check_r8_layering(file, out);
   if (on("R9")) check_r9_lock_discipline(file, ctx, out);
   if (on("R10")) check_r10_hot_alloc(file, out);
-  if (on("R11")) check_r11_unchecked_result(file, ctx, out);
   if (on("R12")) check_r12_bare_wait(file, out);
 }
 

@@ -1,4 +1,4 @@
-// cnt-lint rule engine: domain rules R1-R11 over lexed SourceFiles.
+// cnt-lint rule engine: domain rules R1-R12 over lexed SourceFiles.
 //
 // Rule catalog (rationale + examples: docs/static_analysis.md):
 //   R1 nondeterminism primitives (rand, srand, random_device, time(,
@@ -26,18 +26,18 @@
 //   R10 hot-path allocation ban: functions marked `// cnt-hot` must not
 //      allocate (new/make_*/push_back/resize/reserve/std::string
 //      construction); throw statements are exempt       [hot-ok]
-//   R11 unchecked Result<T>: a statement-position call to a function
-//      returning cnt::Result<T> whose value is dropped  [result-ok]
 //   R12 bare blocking waits: std::this_thread::sleep_for/sleep_until or
 //      an unbounded condition-variable .wait( outside the cancellation
 //      layer (src/common/cancel.*, src/common/failpoint.*) -- pauses
 //      must be interruptible via cancel::Token::wait_ms or a bounded
 //      wait_for/wait_until in a re-checking loop        [wait-ok]
 //
-// R1-R8, R10 and R12 are per-file. R9 and R11 consult a TreeContext
-// harvested from every scanned file first (guard annotations in a
-// header govern the paired .cpp; Result-returning declarations are
-// collected tree-wide), so the driver runs in two passes.
+// Rule ids are never renumbered: the retired id between R10 and R12
+// stays unused.
+//
+// R1-R8, R10 and R12 are per-file. R9 consults a TreeContext harvested
+// from every scanned file first (guard annotations in a header govern
+// the paired .cpp), so the driver runs in two passes.
 //
 // A finding on line L is silenced by `// cnt-lint: <tag>` on line L or
 // line L-1.
@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "lexer.hpp"
@@ -56,7 +55,7 @@ namespace cnt::lint {
 struct Finding {
   std::string path;
   std::uint32_t line = 0;
-  std::string rule;     ///< "R1".."R11" ("U0" for the suppression audit)
+  std::string rule;     ///< "R1".."R12" ("U0" for the suppression audit)
   std::string name;     ///< short rule name, e.g. "nondeterminism"
   std::string message;
 
@@ -74,7 +73,7 @@ struct RuleInfo {
   const char* summary;
 };
 
-/// Static catalog, ordered R1..R11.
+/// Static catalog, ordered by id.
 [[nodiscard]] const std::vector<RuleInfo>& rule_catalog();
 
 /// One `guarded-by` annotation resolved to the declaration it covers.
@@ -90,18 +89,16 @@ struct GuardEntry {
   std::uint32_t scope_last_line = 0;   ///< extent (inclusive lines)
 };
 
-/// Cross-file facts rules R9/R11 consult; harvested before rules run.
+/// Cross-file facts rule R9 consults; harvested before rules run.
 struct TreeContext {
   std::vector<GuardEntry> guards;
-  std::unordered_set<std::string> result_functions;
 };
 
-/// Collect `file`'s guard annotations and Result<T>-returning function
-/// declarations into `ctx`.
+/// Collect `file`'s guard annotations into `ctx`.
 void harvest_context(const SourceFile& file, TreeContext& ctx);
 
 /// Run the selected rules over one file, appending findings.
-/// `enabled` holds rule ids ("R1".."R11"); empty means all rules.
+/// `enabled` holds rule ids ("R1".."R12"); empty means all rules.
 void run_rules(const SourceFile& file, const std::vector<std::string>& enabled,
                const TreeContext& ctx, std::vector<Finding>& out);
 
@@ -122,8 +119,6 @@ void check_r8_layering(const SourceFile& file, std::vector<Finding>& out);
 void check_r9_lock_discipline(const SourceFile& file, const TreeContext& ctx,
                               std::vector<Finding>& out);
 void check_r10_hot_alloc(const SourceFile& file, std::vector<Finding>& out);
-void check_r11_unchecked_result(const SourceFile& file, const TreeContext& ctx,
-                                std::vector<Finding>& out);
 void check_r12_bare_wait(const SourceFile& file, std::vector<Finding>& out);
 
 // R8 layering model, exposed for the include-graph dump in the driver.

@@ -9,7 +9,9 @@
 // suite workloads are built in RAM first (they are small by design) and
 // then written out. Replaying a bare trace file exercises the cache and
 // energy models with unwritten memory reading as zero.
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -46,6 +48,21 @@ void list_workloads() {
   }
 }
 
+/// Strict unsigned flag value: decimal digits only -- no sign, no
+/// trailing junk, no overflow. False on anything else.
+bool parse_count(const char* text, u64& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// --scale must consume its whole argument ("0.5x" is refused).
+bool parse_scale(const char* text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text, &end);
+  return end != text && *end == '\0';
+}
+
 const gen::TrafficScenario* find_scenario(const std::string& name) {
   for (const auto& s : gen::traffic_scenarios()) {
     if (s.name == name) return &s;
@@ -72,25 +89,28 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* val = i + 1 < argc ? argv[i + 1] : nullptr;
+    bool ok = true;
     if (arg == "--scale" && val != nullptr) {
-      scale = std::atof(val);
-      ++i;
+      ok = parse_scale(val, scale);
     } else if (arg == "--ops" && val != nullptr) {
-      ops_override = std::strtoull(val, nullptr, 10);
-      ++i;
+      ok = parse_count(val, ops_override);
     } else if (arg == "--records" && val != nullptr) {
-      records_override = std::strtoull(val, nullptr, 10);
-      ++i;
+      ok = parse_count(val, records_override);
     } else if (arg == "--seed-offset" && val != nullptr) {
-      seed_offset = std::strtoull(val, nullptr, 10);
-      ++i;
+      ok = parse_count(val, seed_offset);
     } else if (arg == "--chunk-capacity" && val != nullptr) {
-      chunk_capacity = std::strtoull(val, nullptr, 10);
-      ++i;
+      ok = parse_count(val, chunk_capacity);
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return usage();
     }
+    if (!ok) {
+      std::cerr << "bad value for " << arg << ": '" << val << "' (expected "
+                << (arg == "--scale" ? "a number" : "an unsigned integer")
+                << ")\n";
+      return usage();
+    }
+    ++i;
   }
   if (chunk_capacity == 0 || chunk_capacity > stream::kMaxChunkCapacity) {
     std::cerr << "chunk capacity must be in [1, "
