@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "exec/journal.hpp"
 #include "exec/options.hpp"
 #include "exec/progress.hpp"
+#include "exec/shared_inputs.hpp"
 #include "exec/thread_pool.hpp"
 #include "exec/watchdog.hpp"
 #include "trace/workload_suite.hpp"
@@ -33,7 +35,14 @@ SweepInterrupted::SweepInterrupted(usize completed, usize total,
       total_(total),
       journal_path_(std::move(journal_path)) {}
 
-JobOutcome run_job(const Job& job) noexcept {
+namespace {
+
+/// One attempt at `job`: the engine.job failpoint, then simulate over the
+/// workload `input(built)` yields, capturing any exception. wall_ms is
+/// charged to the attempt that built the input; an attempt sharing
+/// another job's input starts its clock once it holds the input.
+template <typename InputFn>
+JobOutcome execute(const Job& job, InputFn&& input) noexcept {
   JobOutcome out;
   out.job = job;
   // Torture-harness hook (docs/crash_consistency.md): an armed
@@ -61,11 +70,12 @@ JobOutcome run_job(const Job& job) noexcept {
     case fp::Action::kNone:
       break;
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  auto t0 = std::chrono::steady_clock::now();
   try {
-    const Workload w = build_workload(job.workload, job.scale,
-                                      job.seed_offset);
-    out.result = simulate(w, job.config);
+    bool built = false;
+    const std::shared_ptr<const Workload> w = input(built);
+    if (!built) t0 = std::chrono::steady_clock::now();
+    out.result = simulate(*w, job.config);
     out.ok = true;
   } catch (const std::exception& e) {
     out.error = e.what();
@@ -80,6 +90,21 @@ JobOutcome run_job(const Job& job) noexcept {
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return out;
+}
+
+}  // namespace
+
+JobOutcome run_job(const Job& job) noexcept {
+  return execute(job, [&job](bool& built) {
+    built = true;
+    return std::make_shared<const Workload>(
+        build_workload(job.workload, job.scale, job.seed_offset));
+  });
+}
+
+JobOutcome run_shared_job(const Job& job, SharedInputs& inputs) noexcept {
+  return execute(job,
+                 [&](bool& built) { return inputs.acquire(job, built); });
 }
 
 namespace {
@@ -237,16 +262,34 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   std::optional<Watchdog> watchdog;
   if (timeout_ms_ > 0) watchdog.emplace(timeout_ms_);
   Watchdog* dog = watchdog.has_value() ? &*watchdog : nullptr;
-  if (workers_ <= 1) {
+  // Input-major dispatch: jobs that replay the same input run back to
+  // back and share one build. Rows still reach the journal in submission
+  // order through the sink's reorder buffer.
+  std::vector<usize> pending;
+  for (usize i = 0; i < jobs.size(); ++i) {
+    if (replayed[i] == 0) pending.push_back(i);
+  }
+  const std::vector<InputGroup> groups = plan_inputs(jobs, pending);
+  std::vector<usize> order;
+  for (const InputGroup& g : groups) {
+    order.insert(order.end(), g.begin(), g.end());
+  }
+  SharedInputs inputs(jobs.size(), groups);
+  const JobRunner runner = [&inputs](const Job& job) {
+    return run_shared_job(job, inputs);
+  };
+  // A worker beyond the pending job count would never get a job.
+  const usize threads = std::min(workers_, pending.size());
+  if (threads <= 1) {
     // Serial reference path: same code per job, no threads at all.
-    for (usize i = 0; i < jobs.size(); ++i) {
-      if (replayed[i] != 0) continue;
+    for (const usize i : order) {
       if (cancelled()) {
         interrupted = true;
         break;
       }
       outcomes[i] = run_job_with_retry(jobs[i], retries_,
-                                       opts_.retry_backoff_ms, run_job, dog);
+                                       opts_.retry_backoff_ms, runner, dog);
+      inputs.release(jobs[i]);
       try {
         sink.push(outcomes[i]);
       } catch (Error& e) {
@@ -262,26 +305,26 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   } else {
     std::mutex done_mu;  // guards outcomes slot writes + sink + flags
     bool stop = false;   // cnt-lint: guarded-by(done_mu)
-    ThreadPool pool(workers_);
-    for (const Job& job : jobs) {
-      if (replayed[static_cast<usize>(job.id)] != 0) continue;
-      pool.submit([&, job] {
+    ThreadPool pool(threads);
+    for (const usize i : order) {
+      pool.submit([&, i] {
+        const Job& job = jobs[i];
         {
           // Poll under the lock so cancel_check needs no thread safety
           // of its own and every worker agrees on the stop decision.
           std::lock_guard lock(done_mu);
           if (stop || cancelled()) {
             stop = true;
+            inputs.release(job);
             return;
           }
         }
-        JobOutcome out = run_job_with_retry(job, retries_,
-                                            opts_.retry_backoff_ms, run_job,
-                                            dog);
+        JobOutcome out = run_job_with_retry(
+            job, retries_, opts_.retry_backoff_ms, runner, dog);
+        inputs.release(job);
         // In-flight jobs drain even after a stop request: their rows
         // still reach the journal before the interrupt propagates.
         std::lock_guard lock(done_mu);
-        const usize slot = static_cast<usize>(out.job.id);
         if (!journal_failure.has_value()) {
           try {
             sink.push(out);
@@ -295,7 +338,7 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
             stop = true;
           }
         }
-        outcomes[slot] = std::move(out);
+        outcomes[i] = std::move(out);
       });
     }
     pool.wait();
@@ -342,8 +385,9 @@ std::vector<JobOutcome> ExperimentEngine::run(std::vector<Job> jobs) const {
   }
   meter.finish();
   if (opts_.progress) {
-    std::cerr << meter.summary() << " [" << workers_ << " worker"
-              << (workers_ == 1 ? "" : "s") << "]\n";
+    const usize used = std::max<usize>(threads, 1);
+    std::cerr << meter.summary() << " [" << used << " worker"
+              << (used == 1 ? "" : "s") << "]\n";
   }
   return outcomes;
 }

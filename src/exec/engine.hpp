@@ -2,12 +2,18 @@
 //
 // Takes a batch of Jobs (usually from SweepSpec::expand()), executes them
 // on a ThreadPool, and returns outcomes in submission order regardless of
-// completion order. Determinism contract: every job builds its own
-// workload from (name, scale, seed_offset) -- all randomness flows
-// through the per-generator Rng seeds, there is no shared mutable
-// simulation state -- so a parallel run is bit-identical to --jobs 1.
-// A job that throws is captured as a failed JobOutcome; the rest of the
-// batch runs to completion.
+// completion order. Execution is input-major (exec/shared_inputs.hpp):
+// the pending jobs are grouped by input key (workload, scale,
+// seed_offset), the groups run in first-appearance order and each
+// group's jobs in submission order. The first job of a group to start
+// builds the Workload once; the group's other jobs share it read-only,
+// and it is freed when the group's last job reaches its final outcome.
+// Determinism contract: an input is a pure function of its key -- all
+// randomness flows through the per-generator Rng seeds -- and simulate()
+// only reads it, with no shared mutable simulation state, so a parallel
+// run is bit-identical to --jobs 1 and each outcome to a stand-alone
+// run_job(job). A job that throws is captured as a failed JobOutcome;
+// the rest of the batch runs to completion.
 //
 // Crash safety (docs/resumable_sweeps.md): with a jsonl_path the engine
 // writes a journal -- sealed header + checksummed rows streamed into
@@ -27,12 +33,14 @@
 
 #include "common/types.hpp"
 #include "exec/result_sink.hpp"
+#include "exec/shared_inputs.hpp"
 #include "exec/sweep.hpp"
 
 namespace cnt::exec {
 
 struct EngineOptions {
   /// Worker threads; 0 resolves via $CNT_JOBS then hardware concurrency.
+  /// A run starts at most one per pending job.
   usize jobs = 0;
   /// JSONL telemetry file; empty disables the sink.
   std::string jsonl_path;
@@ -85,8 +93,15 @@ class SweepInterrupted : public std::runtime_error {
 };
 
 /// Execute one job in the calling thread: build the workload, simulate,
-/// capture any exception. Never throws.
+/// capture any exception. Never throws. The stand-alone entry point.
 [[nodiscard]] JobOutcome run_job(const Job& job) noexcept;
+
+/// run_job over the sweep's shared inputs: the workload comes from
+/// `inputs` (built by this call when no other job of its group has built
+/// it), and wall_ms covers the build only when this call built it. The
+/// outcome is bit-identical to run_job(job). Never throws.
+[[nodiscard]] JobOutcome run_shared_job(const Job& job,
+                                        SharedInputs& inputs) noexcept;
 
 /// A pluggable job executor (tests inject failure-then-success fakes).
 using JobRunner = std::function<JobOutcome(const Job&)>;
@@ -113,8 +128,9 @@ class ExperimentEngine {
   explicit ExperimentEngine(EngineOptions opts = {});
 
   /// Run every job; returns outcomes indexed by submission order (job ids
-  /// are reassigned densely from 0 in vector order). With 1 worker the
-  /// batch runs inline in the calling thread -- the serial reference path.
+  /// are reassigned densely from 0 in vector order). Starts at most one
+  /// thread per pending job; with 1 worker (or 1 pending job) the batch
+  /// runs inline in the calling thread -- the serial reference path.
   /// Throws SweepInterrupted on cancellation and std::runtime_error when
   /// resume=true meets a journal for a different sweep.
   [[nodiscard]] std::vector<JobOutcome> run(std::vector<Job> jobs) const;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -97,13 +98,16 @@ u32 resolve_retries(u32 n) noexcept {
 namespace {
 
 /// Parse a positive u64 (no bogus-value ceiling -- seeds are arbitrary);
-/// 0 on anything else.
+/// 0 on anything else, a value past 2^64 - 1 included.
 u64 parse_positive_u64(std::string_view s) noexcept {
-  if (s.empty() || s.size() > 20) return 0;
+  if (s.empty()) return 0;
+  constexpr u64 kMax = std::numeric_limits<u64>::max();
   u64 v = 0;
   for (const char c : s) {
     if (c < '0' || c > '9') return 0;
-    v = v * 10 + static_cast<u64>(c - '0');
+    const auto digit = static_cast<u64>(c - '0');
+    if (v > (kMax - digit) / 10) return 0;
+    v = v * 10 + digit;
   }
   return v;
 }

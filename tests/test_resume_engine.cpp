@@ -106,12 +106,14 @@ TEST(ResumeEngine, KillAndResumeIsByteIdentical) {
   EXPECT_FALSE(std::ifstream(path + ".partial").good());
 
   // Exactly the 2 missing jobs were re-simulated (cancel_check is polled
-  // once per executed job); the journaled 2 were replayed.
+  // once per executed job); the journaled 2 were replayed. Execution is
+  // input-major, so the first two jobs to run were 0 and 2 (stream_copy
+  // at both windows).
   EXPECT_EQ(resume_polls, 2u);
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_TRUE(outcomes[0].resumed);
-  EXPECT_TRUE(outcomes[1].resumed);
-  EXPECT_FALSE(outcomes[2].resumed);
+  EXPECT_FALSE(outcomes[1].resumed);
+  EXPECT_TRUE(outcomes[2].resumed);
   EXPECT_FALSE(outcomes[3].resumed);
   for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << o.error;
 }
@@ -405,8 +407,11 @@ TEST(ResumeEngine, HardKillThenResumeIsByteIdentical) {
   const auto outcomes = ExperimentEngine(opts).run(small_spec());
   EXPECT_EQ(slurp(path), ref);
   ASSERT_EQ(outcomes.size(), 4u);
+  // Jobs 0 and 2 ran before the kill (input-major order). Row 0 was
+  // flushed; row 2 still sat in the reorder buffer behind job 1, so the
+  // kill lost it and resume re-simulates it.
   EXPECT_TRUE(outcomes[0].resumed);
-  EXPECT_TRUE(outcomes[1].resumed);
+  EXPECT_FALSE(outcomes[1].resumed);
   EXPECT_FALSE(outcomes[2].resumed);
 }
 #endif
@@ -450,9 +455,10 @@ TEST(QuarantineJournal, ResumeReplaysCleanRowsAndClearsTheQRow) {
   opts.resume = true;
   const auto outcomes = ExperimentEngine(opts).run(small_spec());
   ASSERT_EQ(outcomes.size(), 4u);
+  // The second job to run is job 2 (input-major order: 0, 2, 1, 3).
   EXPECT_TRUE(outcomes[0].resumed);
-  EXPECT_FALSE(outcomes[1].resumed);  // the quarantined job, re-attempted
-  EXPECT_TRUE(outcomes[2].resumed);
+  EXPECT_TRUE(outcomes[1].resumed);
+  EXPECT_FALSE(outcomes[2].resumed);  // the quarantined job, re-attempted
   EXPECT_TRUE(outcomes[3].resumed);
   for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << o.error;
   EXPECT_EQ(slurp(path), ref);
@@ -566,6 +572,41 @@ TEST(Options, JobTimeoutChain) {
   EXPECT_EQ(resolve_job_timeout(100), 100u);  // explicit beats env
   setenv("CNT_JOB_TIMEOUT_MS", "junk", 1);
   EXPECT_EQ(job_timeout_from_env(7), 7u);  // malformed -> fallback
+  unsetenv("CNT_JOB_TIMEOUT_MS");
+}
+
+// 2^64 - 1 is the largest value; anything past it is not a number and
+// falls through to the next source instead of wrapping.
+TEST(Options, U64ValuesPastTwoToTheSixtyFourFallBack) {
+  constexpr u64 kMax = 18446744073709551615u;
+  const char* const kTooBig[] = {"18446744073709551616",
+                                 "99999999999999999999",
+                                 "184467440737095516150"};
+
+  unsetenv("CNT_SEED");
+  const char* max_flag[] = {"bench", "--seed", "18446744073709551615"};
+  EXPECT_EQ(u64_from_args(3, max_flag, "--seed", 5), kMax);
+  for (const char* big : kTooBig) {
+    const char* argv[] = {"bench", "--seed", big};
+    EXPECT_EQ(u64_from_args(3, argv, "--seed", 5), 5u) << big;
+    const std::string eq = std::string("--seed=") + big;
+    const char* argv_eq[] = {"bench", eq.c_str()};
+    EXPECT_EQ(u64_from_args(2, argv_eq, "--seed", 5), 5u) << big;
+  }
+
+  const char* no_flag[] = {"bench"};
+  setenv("CNT_SEED", "18446744073709551615", 1);
+  EXPECT_EQ(u64_from_args(1, no_flag, "--seed", 5), kMax);
+  setenv("CNT_JOB_TIMEOUT_MS", "18446744073709551615", 1);
+  EXPECT_EQ(job_timeout_from_env(7), kMax);
+  for (const char* big : kTooBig) {
+    setenv("CNT_SEED", big, 1);
+    EXPECT_EQ(u64_from_args(1, no_flag, "--seed", 5), 5u) << big;
+    setenv("CNT_JOB_TIMEOUT_MS", big, 1);
+    EXPECT_EQ(job_timeout_from_env(7), 7u) << big;
+    EXPECT_EQ(resolve_job_timeout(0), 0u) << big;
+  }
+  unsetenv("CNT_SEED");
   unsetenv("CNT_JOB_TIMEOUT_MS");
 }
 
