@@ -1,14 +1,15 @@
 // bench_figures: regenerate the reproduced tables and figures (DESIGN.md's
 // experiment index) from the registry in figures.cpp.
 //
-//   bench_figures [NAME...] [--jobs N] [--resume] [--samples N] [--seed S]
+//   bench_figures [NAME...] [--jobs N | -j N | --jobs=N]
+//                 [--resume | --no-resume] [--samples N] [--seed S]
 //
 // Each NAME (e.g. fig_window_sweep) prints its table and writes
 // <NAME>.csv -- plus <NAME>.jsonl for the engine-backed figures -- into
 // $CNT_RESULTS_DIR (default ./results); $CNT_BENCH_SCALE shrinks the
 // workloads. With no NAME every figure runs in registry order. Exit
-// status: 0 ok, 1 on any figure error, 2 for an unknown name, 130 when
-// interrupted (rerun with --resume).
+// status: 0 ok, 1 on any figure error, 2 for an unknown name or option,
+// 130 when interrupted (rerun with --resume).
 #include <cstdlib>
 #include <iostream>
 #include <string_view>
@@ -24,12 +25,22 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.starts_with('-')) {
-      // Skip the value of a flag spelled as two words.
-      if (arg == "--jobs" || arg == "-j" || arg == "--samples" ||
-          arg == "--seed") {
-        ++i;
+      // The flags themselves are read from argv by the figures; here
+      // only their spelling is checked, so a typo never runs the registry.
+      if (arg == "--resume" || arg == "--no-resume" ||
+          arg.starts_with("--jobs=")) {
+        continue;
       }
-      continue;
+      if ((arg == "--jobs" || arg == "-j" || arg == "--samples" ||
+           arg == "--seed") &&
+          i + 1 < argc) {
+        ++i;  // the flag's value
+        continue;
+      }
+      std::cerr << "bench_figures: unknown or incomplete option '" << arg
+                << "'; accepted: --jobs N, -j N, --jobs=N, --resume, "
+                   "--no-resume, --samples N, --seed N\n";
+      return 2;
     }
     const bench::Figure* fig = bench::find_figure(arg);
     if (fig == nullptr) {

@@ -109,7 +109,9 @@ u64 Context::option(const char* flag, u64 fallback) const {
 
 double scale_from(const char* text, double fallback) {
   if (text == nullptr) return fallback;
-  const double v = std::strtod(text, nullptr);
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0') return fallback;  // junk or empty
   return std::isfinite(v) && v > 0.0 ? v : fallback;
 }
 

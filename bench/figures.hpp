@@ -124,7 +124,8 @@ struct Figure {
 [[nodiscard]] const Figure* find_figure(std::string_view name);
 
 /// Workload scale from $CNT_BENCH_SCALE's text: a finite positive number
-/// wins; null, unparsable, non-positive and non-finite text falls back.
+/// wins; null, unparsable (trailing junk included), non-positive and
+/// non-finite text falls back.
 [[nodiscard]] double scale_from(const char* text, double fallback);
 
 struct Invocation {

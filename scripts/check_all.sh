@@ -3,14 +3,14 @@
 # analysis (text findings, then the machine-readable JSON surface, the
 # suppression audit and the include-layering DAG), the cnt-fuzz ingest
 # wall, the results regression check, the golden-ledger suite (ctest -L
-# golden), the cnt-crash crash-consistency wall, the cnt-chaos hung-work
-# wall and the perfbench self-tests, in that order.
+# golden), the cnt-torture wall (crash-consistency and hung-work chaos
+# families) and the perfbench self-tests, in that order.
 #
 #   scripts/check_all.sh [build_dir] [results.json]
 #
 # build_dir defaults to `build` and must contain the compiled tree
-# (tools/cnt-lint/cnt-lint, tools/cnt-fuzz/cnt-fuzz, examples/cnt_sim,
-# tools/cnt-crash/cnt-crash and tools/cnt-chaos/cnt-chaos). When no
+# (tools/cnt-lint/cnt-lint, tools/cnt-fuzz/cnt-fuzz, examples/cnt_sim and
+# tools/cnt-torture/cnt-torture). When no
 # results.json is given, a smoke run of cnt_sim against a generated
 # minimal config feeds check_regression.py instead.
 #
@@ -33,13 +33,13 @@ die() {
 [ -d "$build_dir" ] || die "build directory not found: $build_dir (run: cmake --preset default && cmake --build --preset default)"
 
 # --- leg 1: documentation drift -------------------------------------------
-say "[1/9] scripts/check_docs.sh"
+say "[1/8] scripts/check_docs.sh"
 scripts/check_docs.sh || fail=1
 
 # --- leg 2: cnt-lint over the whole tree ----------------------------------
 lint_bin="$build_dir/tools/cnt-lint/cnt-lint"
 [ -x "$lint_bin" ] || die "cnt-lint binary not found: $lint_bin (build the default preset first)"
-say "[2/9] cnt-lint src bench examples tests tools"
+say "[2/8] cnt-lint src bench examples tests tools"
 "$lint_bin" src bench examples tests tools --exclude=tests/lint/fixtures || fail=1
 
 # --- leg 3: lint JSON surface, suppression audit, include DAG -------------
@@ -48,7 +48,7 @@ say "[2/9] cnt-lint src bench examples tests tools"
 # a finding; the DAG dump exits non-zero on an include-layer cycle. The
 # fixture exclusion matters for the graph too: the R8 fixture's
 # deliberate cache->sim back-edge would otherwise close a cycle.
-say "[3/9] cnt-lint --format=json / --report-unused-suppressions / --dump-include-graph=dot"
+say "[3/8] cnt-lint --format=json / --report-unused-suppressions / --dump-include-graph=dot"
 "$lint_bin" --format=json src bench examples tests tools --exclude=tests/lint/fixtures \
   | python3 -c 'import json,sys; r = json.load(sys.stdin); sys.exit(0 if r["schema"] == "cnt-lint-v1" and r["count"] == 0 else 1)' || fail=1
 "$lint_bin" --report-unused-suppressions src bench examples tests tools --exclude=tests/lint/fixtures || fail=1
@@ -58,11 +58,11 @@ say "[3/9] cnt-lint --format=json / --report-unused-suppressions / --dump-includ
 # --- leg 4: deterministic fuzz wall over every ingest parser --------------
 fuzz_bin="$build_dir/tools/cnt-fuzz/cnt-fuzz"
 [ -x "$fuzz_bin" ] || die "cnt-fuzz binary not found: $fuzz_bin (build the default preset first)"
-say "[4/9] cnt-fuzz --target all --seed 1 --runs 2000 --check-corpus"
+say "[4/8] cnt-fuzz --target all --seed 1 --runs 2000 --check-corpus"
 "$fuzz_bin" --corpus-root tests/fuzz/corpus --target all --seed 1 --runs 2000 --check-corpus || fail=1
 
 # --- leg 5: results regression gate ---------------------------------------
-say "[5/9] scripts/check_regression.py"
+say "[5/8] scripts/check_regression.py"
 if [ -n "$results_json" ]; then
   [ -e "$results_json" ] || die "results file not found: $results_json"
   python3 scripts/check_regression.py "$results_json" || fail=1
@@ -86,46 +86,41 @@ fi
 # --- leg 6: golden ledgers -------------------------------------------------
 # Representative runs rendered to JSON must match tests/golden/ byte for
 # byte, so a hot-path change that alters any result fails here. Host
-# speed is gated by perfbench (leg 9 and BENCHMARK.json), not here. An
+# speed is gated by perfbench (leg 8 and BENCHMARK.json), not here. An
 # empty label is a failure, so a relabelled suite cannot pass vacuously.
-say "[6/9] ctest -L golden"
+say "[6/8] ctest -L golden"
 ctest --test-dir "$build_dir" -L golden --no-tests=error --output-on-failure >/dev/null 2>&1 || {
   echo "check_all: ctest -L golden failed" >&2
   fail=1
 }
 
-# --- leg 7: crash-consistency wall ------------------------------------------
-# Kill-point torture sweep over every registered failpoint site
-# (docs/crash_consistency.md): SIGKILL / ENOSPC / short-write at seeded
-# byte positions, then verify every artifact is absent, byte-identical,
-# or refused -- and that --resume restores sweep journals exactly. Three
-# seeds vary the kill index per site; the whole sweep is sub-second.
-crash_bin="$build_dir/tools/cnt-crash/cnt-crash"
-[ -x "$crash_bin" ] || die "cnt-crash binary not found: $crash_bin (build the default preset first)"
-say "[7/9] cnt-crash --seeds 3"
-"$crash_bin" --out "$build_dir/crash_wall_sweep" --seeds 3 || fail=1
+# --- leg 7: torture wall ---------------------------------------------------
+# Both families of the fork-based torture wall, three seeds each:
+# crash kills or fails every failpoint site (SIGKILL / ENOSPC /
+# short-write at seeded trigger points) and checks that every artifact is
+# absent, byte-identical or refused, and that --resume restores sweep
+# journals exactly (docs/crash_consistency.md); chaos runs seeded
+# schedules over a real sweep -- delays, transient errors, torn journal
+# writes, watchdog-cancelled hangs, SIGINT storms -- asserting no
+# deadlock, exact quarantine reporting and byte-identical --resume
+# recovery (docs/robustness.md). Each family prints its own
+# "<family>: N/M cases hold" line.
+torture_bin="$build_dir/tools/cnt-torture/cnt-torture"
+[ -x "$torture_bin" ] || die "cnt-torture binary not found: $torture_bin (build the default preset first)"
+say "[7/8] cnt-torture --seeds 3"
+"$torture_bin" --out "$build_dir/torture_wall_sweep" --seeds 3 || fail=1
 
-# --- leg 8: hung-work chaos wall --------------------------------------------
-# Seeded chaos schedules over a real sweep (docs/robustness.md): delays,
-# transient errors, torn journal writes, watchdog-cancelled hangs and
-# SIGINT storms, asserting no deadlock, a loadable-or-refused journal,
-# exact quarantine reporting and byte-identical --resume recovery.
-chaos_bin="$build_dir/tools/cnt-chaos/cnt-chaos"
-[ -x "$chaos_bin" ] || die "cnt-chaos binary not found: $chaos_bin (build the default preset first)"
-say "[8/9] cnt-chaos --seeds 3"
-"$chaos_bin" --out "$build_dir/chaos_wall_sweep" --seeds 3 || fail=1
-
-# --- leg 9: benchmark self-tests -------------------------------------------
+# --- leg 8: benchmark self-tests -------------------------------------------
 # Tiny runs of every perfbench workload (perfbench/README.md): each must
 # reproduce its recorded output digest, a wrong expected digest must be
 # reported as incorrect, and an engine override in the environment must be
 # refused. A change that alters any simulated output fails here, before
 # review. perfbench builds its own binary from src/ into .bench_build/.
-say "[9/9] python3 perfbench/selftest.py"
+say "[8/8] python3 perfbench/selftest.py"
 python3 perfbench/selftest.py || fail=1
 
 if [ "$fail" -ne 0 ]; then
   echo "check_all: FAILED" >&2
   exit 1
 fi
-say "OK (docs, lint, lint-json/audit/DAG, fuzz, regression, golden ledgers, crash wall, chaos wall, perfbench self-tests all green)"
+say "OK (docs, lint, lint-json/audit/DAG, fuzz, regression, golden ledgers, torture wall, perfbench self-tests all green)"

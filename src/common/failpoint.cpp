@@ -87,7 +87,7 @@ Entry parse_entry(std::string_view text) {
                      "unknown failpoint site '" + e.site + "'")
         .at("CNT_FAILPOINTS")
         .hint(near.empty()
-                  ? "tools/cnt-crash --list prints the site catalog"
+                  ? "tools/cnt-torture --list prints the site catalog"
                   : "did you mean '" + near + "'?");
   }
   std::string_view rest = trim(text.substr(eq + 1));

@@ -30,7 +30,7 @@
 //
 // The registry is deterministic: which evaluation fires depends only on
 // the spec and the (deterministic) order the program reaches the site.
-// tools/cnt-crash layers seeded kill-index selection on top.
+// tools/cnt-torture layers seeded trigger-index selection on top.
 #pragma once
 
 #include <string>
@@ -52,7 +52,7 @@ enum class Action : u8 {
                  ///< kCancelled/kTimeout error (cancel::cancelled_error)
 };
 
-/// One armed entry plus its live hit counter (for tests and cnt-crash).
+/// One armed entry plus its live hit counter (for tests and cnt-torture).
 struct SiteState {
   std::string site;
   std::string action;  ///< rendered as written in the spec
@@ -96,8 +96,8 @@ void clear() noexcept;
 [[nodiscard]] u64 hit_count(std::string_view site);
 
 /// Write "site count" lines (catalog order, hit sites only) to the
-/// $CNT_FAILPOINT_REPORT path. No-op without a report path. cnt-crash
-/// uses the report of a clean run to enumerate kill points.
+/// $CNT_FAILPOINT_REPORT path. No-op without a report path. cnt-torture
+/// uses the report of a clean run to choose trigger points.
 void write_report();
 
 /// The fixed site catalog, sorted. Every evaluate() call site in the

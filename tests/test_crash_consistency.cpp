@@ -2,7 +2,7 @@
 // docs/crash_consistency.md): injected I/O failures and interrupts
 // mid-sweep must drain to a sealed `<path>.partial` that --resume
 // restores byte-identically, and torn streamed traces must be refused
-// by the reader rather than replayed wrong. tools/cnt-crash covers the
+// by the reader rather than replayed wrong. tools/cnt-torture covers the
 // same contracts with real SIGKILLs; these tests pin the in-process
 // drain paths deterministically.
 #include <gtest/gtest.h>
@@ -226,8 +226,9 @@ TEST_P(SignalDrainTest, DrainsSealsPartialAndResumes) {
 
 INSTANTIATE_TEST_SUITE_P(SigintSigterm, SignalDrainTest,
                          ::testing::Values(SIGINT, SIGTERM),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == SIGINT ? "SIGINT" : "SIGTERM";
+                         [](const ::testing::TestParamInfo<int>& param_info) {
+                           return param_info.param == SIGINT ? "SIGINT"
+                                                             : "SIGTERM";
                          });
 
 TEST(TornStreamedTrace, RefusedByReaderThenRegenerates) {

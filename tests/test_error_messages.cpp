@@ -5,6 +5,8 @@
 // user-facing diagnostics, so changing a message is a deliberate act.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -167,7 +169,8 @@ TEST(GoldenFaultConfig, NegativeDensityAndBadFractionNameTheirKeys) {
 TEST(GoldenIo, InjectedEnospcRendersWhatWhereAndHint) {
   fp::clear();
   fp::configure("csv.write=error:ENOSPC");
-  const std::string path = ::testing::TempDir() + "golden_io.csv";
+  const std::string path = ::testing::TempDir() + "golden_io." +
+                           std::to_string(::getpid()) + ".csv";
   io::DurableFile f(path, "csv");
   try {
     f.write("row\n");
@@ -191,7 +194,8 @@ TEST(GoldenIo, InjectedEnospcRendersWhatWhereAndHint) {
 TEST(GoldenIo, ShortWriteNamesTheTornByteCount) {
   fp::clear();
   fp::configure("csv.write=short-write");
-  const std::string path = ::testing::TempDir() + "golden_torn.csv";
+  const std::string path = ::testing::TempDir() + "golden_torn." +
+                           std::to_string(::getpid()) + ".csv";
   io::DurableFile f(path, "csv");
   try {
     f.write("abcdefgh");
@@ -210,7 +214,8 @@ TEST(GoldenIo, ShortWriteNamesTheTornByteCount) {
 
 TEST(GoldenIo, FsyncEioAndRenameFailureNameTheFailedStep) {
   fp::clear();
-  const std::string path = ::testing::TempDir() + "golden_sync.csv";
+  const std::string path = ::testing::TempDir() + "golden_sync." +
+                           std::to_string(::getpid()) + ".csv";
   {
     fp::configure("csv.sync=error:EIO");
     io::DurableFile f(path, "csv");

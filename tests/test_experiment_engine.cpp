@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -140,9 +142,11 @@ TEST(ExperimentEngine, ParallelMatchesSerialBitExactly) {
 // And the JSONL telemetry (timing off) is byte-identical too.
 TEST(ExperimentEngine, ParallelJsonlMatchesSerialByteExactly) {
   const std::string serial_path =
-      ::testing::TempDir() + "cnt_engine_serial.jsonl";
+      ::testing::TempDir() + "cnt_engine_serial." +
+      std::to_string(::getpid()) + ".jsonl";
   const std::string parallel_path =
-      ::testing::TempDir() + "cnt_engine_parallel.jsonl";
+      ::testing::TempDir() + "cnt_engine_parallel." +
+      std::to_string(::getpid()) + ".jsonl";
   const auto spec = small_spec();
   (void)ExperimentEngine(
       {.jobs = 1, .jsonl_path = serial_path, .jsonl_timing = false})

@@ -112,8 +112,8 @@ TEST(FailpointCatalog, IsSortedAndCoversEveryWriterFamily) {
   }
 }
 
-// Exact pins: the grammar's vocabulary is load-bearing for the chaos
-// wall (tools/cnt-chaos composes schedules from these strings) and for
+// Exact pins: the grammar's vocabulary is load-bearing for the torture
+// wall (tools/cnt-torture composes schedules from these strings) and for
 // docs/crash_consistency.md. Growing either catalog must update this
 // test, the docs and the harness together.
 TEST(FailpointCatalog, SiteAndActionListsArePinned) {

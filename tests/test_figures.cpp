@@ -117,7 +117,7 @@ TEST(FigureScale, FinitePositiveTextWins) {
 TEST(FigureScale, InvalidOrNonFiniteTextFallsBackToTheDefault) {
   EXPECT_EQ(bench::scale_from(nullptr, 0.35), 0.35);
   for (const char* text : {"inf", "nan", "1e999", "-inf", "0", "-1", "abc",
-                           ""}) {
+                           "", "0.05x", "1e-2 "}) {
     EXPECT_EQ(bench::scale_from(text, 0.35), 0.35) << "'" << text << "'";
   }
 }

@@ -34,6 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "common/json.hpp"
 #include "sim/hierarchy_runner.hpp"
 #include "sim/runner.hpp"
@@ -104,7 +106,8 @@ TEST(GoldenLedgers, SrvStreamedReplay) {
   p.records = usize{1} << 14;
   p.ops = 30000;
   const std::string path =
-      testing::TempDir() + "/golden_srv_stream.trs";
+      testing::TempDir() + "/golden_srv_stream." +
+      std::to_string(::getpid()) + ".trs";
   {
     stream::StreamTraceWriter writer(path);
     (void)gen::generate_server_traffic(p, writer);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -167,7 +169,8 @@ TEST(JsonlSink, DisabledSinkStillTracksOrdering) {
 }
 
 TEST(JsonlSink, FileSinkWrites) {
-  const std::string path = ::testing::TempDir() + "cnt_sink_test.jsonl";
+  const std::string path = ::testing::TempDir() + "cnt_sink_test." +
+                           std::to_string(::getpid()) + ".jsonl";
   {
     JsonlSink sink(path);
     EXPECT_TRUE(sink.enabled());
@@ -185,7 +188,8 @@ TEST(JsonlSink, FileSinkWrites) {
 // The journal staging contract: rows stream into <path>.partial and only
 // finish() publishes <path> via rename.
 TEST(JsonlSink, FileSinkStagesInPartialUntilFinish) {
-  const std::string path = ::testing::TempDir() + "cnt_sink_stage.jsonl";
+  const std::string path = ::testing::TempDir() + "cnt_sink_stage." +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   std::remove((path + ".partial").c_str());
   {
@@ -201,7 +205,8 @@ TEST(JsonlSink, FileSinkStagesInPartialUntilFinish) {
 }
 
 TEST(JsonlSink, CloseInterruptedKeepsPartialAndFlushesBufferedRows) {
-  const std::string path = ::testing::TempDir() + "cnt_sink_interrupt.jsonl";
+  const std::string path = ::testing::TempDir() + "cnt_sink_interrupt." +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   std::remove((path + ".partial").c_str());
   {

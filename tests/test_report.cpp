@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 
@@ -54,7 +56,8 @@ TEST(Report, BreakdownSkipsAllZeroCategories) {
 }
 
 TEST(Report, ResultsDirHonorsEnvOverride) {
-  const std::string dir = ::testing::TempDir() + "cnt_results_env_test";
+  const std::string dir = ::testing::TempDir() + "cnt_results_env_test." +
+                          std::to_string(::getpid());
   ASSERT_EQ(setenv("CNT_RESULTS_DIR", dir.c_str(), 1), 0);
   const std::string got = results_dir();
   EXPECT_EQ(got, dir);

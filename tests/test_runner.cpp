@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -130,7 +132,8 @@ TEST(Report, CsvWritten) {
   cfg.with_cmos = false;
   std::vector<SimResult> results;
   results.push_back(simulate(build_workload("stream_copy", 0.05), cfg));
-  const std::string path = ::testing::TempDir() + "savings_test.csv";
+  const std::string path = ::testing::TempDir() + "savings_test." +
+                           std::to_string(::getpid()) + ".csv";
   write_savings_csv(results, path);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());

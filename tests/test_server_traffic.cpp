@@ -132,7 +132,7 @@ TEST(ServerTraffic, ScenarioTracesDiffer) {
   EXPECT_NE(steady.trace.size(), scan.trace.size());
   const auto writes = [](const Workload& w) {
     usize n = 0;
-    for (const auto& a : w.trace) n += a.is_write() ? 1 : 0;
+    for (const auto& a : w.trace) n += a.is_write() ? 1u : 0u;
     return n;
   };
   EXPECT_GT(writes(burst) * steady.trace.size(),

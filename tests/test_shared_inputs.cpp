@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -267,7 +269,8 @@ TEST(SharedInputs, TransientFailureRetryReusesTheInput) {
 // --- the engine -------------------------------------------------------------
 
 TEST(SharedInputsEngine, JsonlIsByteIdenticalAtAnyWorkerCount) {
-  const std::string base = ::testing::TempDir() + "cnt_shared_inputs_";
+  const std::string base = ::testing::TempDir() + "cnt_shared_inputs_" +
+                           std::to_string(::getpid()) + "_";
   std::string first;
   for (const usize workers : {1u, 2u, 4u}) {
     const std::string path = base + std::to_string(workers) + ".jsonl";
@@ -321,9 +324,11 @@ TEST(SharedInputsEngine, UnbuildableInputFailsEveryJobOfItsGroup) {
 
 TEST(SharedInputsEngine, RetriedJobJournalIsUnchanged) {
   const std::string ref_path =
-      ::testing::TempDir() + "cnt_shared_inputs_retry_ref.jsonl";
+      ::testing::TempDir() + "cnt_shared_inputs_retry_ref." +
+      std::to_string(::getpid()) + ".jsonl";
   const std::string path =
-      ::testing::TempDir() + "cnt_shared_inputs_retry.jsonl";
+      ::testing::TempDir() + "cnt_shared_inputs_retry." +
+      std::to_string(::getpid()) + ".jsonl";
   std::remove(ref_path.c_str());
   std::remove(path.c_str());
   (void)ExperimentEngine(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -73,7 +75,8 @@ TEST(StatsDump, MultiResultHasSchemaAndAll) {
 }
 
 TEST(StatsDump, FileWriting) {
-  const std::string path = ::testing::TempDir() + "cnt_stats_dump.json";
+  const std::string path = ::testing::TempDir() + "cnt_stats_dump." +
+                           std::to_string(::getpid()) + ".json";
   dump_json_file({one_result()}, path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

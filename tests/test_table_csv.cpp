@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -46,7 +48,8 @@ TEST(Table, NumAndPct) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "cnt_csv_test.csv";
+  std::string path_ = ::testing::TempDir() + "cnt_csv_test." +
+                      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 
   [[nodiscard]] std::string slurp() const {
