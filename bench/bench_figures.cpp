@@ -1,64 +1,53 @@
 // bench_figures: regenerate the reproduced tables and figures (DESIGN.md's
 // experiment index) from the registry in figures.cpp.
 //
-//   bench_figures [NAME...] [--jobs N | -j N | --jobs=N]
-//                 [--resume | --no-resume] [--samples N] [--seed S]
+//   $ ./bench_figures                          # every figure, in order
+//   $ ./bench_figures fig_window_sweep --jobs 4
+//   $ ./bench_figures fig_variation --samples 40 --seed 7
 //
-// Each NAME (e.g. fig_window_sweep) prints its table and writes
-// <NAME>.csv -- plus <NAME>.jsonl for the engine-backed figures -- into
-// $CNT_RESULTS_DIR (default ./results); $CNT_BENCH_SCALE shrinks the
-// workloads. With no NAME every figure runs in registry order. Exit
-// status: 0 ok, 1 on any figure error, 2 for an unknown name or option,
-// 130 when interrupted (rerun with --resume).
+// Each named figure prints its table and writes <NAME>.csv -- plus
+// <NAME>.jsonl for the engine-backed figures -- into $CNT_RESULTS_DIR
+// (default ./results); $CNT_BENCH_SCALE shrinks the workloads. Exit
+// status: 0 ok, 1 on any figure error, 2 on a usage error, 130 when
+// interrupted (rerun with --resume).
 #include <cstdlib>
-#include <iostream>
-#include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "exec/options.hpp"
 #include "figures.hpp"
 #include "sim/report.hpp"
 
 using namespace cnt;
 
 int main(int argc, char** argv) {
+  std::vector<std::string> names;
+  bench::Invocation inv{.resume = exec::resume_from_env(false)};
+  std::vector<std::string> registered;
+  for (const auto& f : bench::registry()) registered.push_back(f.name);
+
+  cli::Parser cli("bench_figures",
+                  "Regenerate the reproduced tables and figures (all of "
+                  "them when none is named).");
+  cli.positional(&names, "figure", "a registered figure",
+                 {.choices = registered})
+      .flag(&inv.jobs, "--jobs", "worker threads (default $CNT_JOBS)",
+            {.alias = "-j", .min = 1})
+      .flag(&inv.resume, "--resume", "replay finished jobs from the journal",
+            {.negation = "--no-resume"})
+      .flag(&inv.samples, "--samples", "fig_variation's samples (default 12)",
+            {.min = 1})
+      .flag(&inv.seed, "--seed", "re-roll the seeded figures");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+
   std::vector<const bench::Figure*> chosen;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with('-')) {
-      // The flags themselves are read from argv by the figures; here
-      // only their spelling is checked, so a typo never runs the registry.
-      if (arg == "--resume" || arg == "--no-resume" ||
-          arg.starts_with("--jobs=")) {
-        continue;
-      }
-      if ((arg == "--jobs" || arg == "-j" || arg == "--samples" ||
-           arg == "--seed") &&
-          i + 1 < argc) {
-        ++i;  // the flag's value
-        continue;
-      }
-      std::cerr << "bench_figures: unknown or incomplete option '" << arg
-                << "'; accepted: --jobs N, -j N, --jobs=N, --resume, "
-                   "--no-resume, --samples N, --seed N\n";
-      return 2;
-    }
-    const bench::Figure* fig = bench::find_figure(arg);
-    if (fig == nullptr) {
-      std::cerr << "bench_figures: unknown figure '" << arg
-                << "'; registered figures:\n";
-      for (const auto& f : bench::registry()) {
-        std::cerr << "  " << f.name << "\n";
-      }
-      return 2;
-    }
-    chosen.push_back(fig);
-  }
+  for (const auto& name : names) chosen.push_back(bench::find_figure(name));
   if (chosen.empty()) {
     for (const auto& f : bench::registry()) chosen.push_back(&f);
   }
 
-  const bench::Invocation inv{argc, argv, std::getenv("CNT_BENCH_SCALE"),
-                              results_dir()};
+  inv.scale_text = std::getenv("CNT_BENCH_SCALE");
+  inv.dir = results_dir();
   int status = 0;
   for (const bench::Figure* fig : chosen) {
     const int rc = bench::run_figure(*fig, inv);

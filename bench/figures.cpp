@@ -1,8 +1,6 @@
 #include "figures.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <iterator>
@@ -12,6 +10,7 @@
 
 #include "cnt/threshold.hpp"
 #include "common/bits.hpp"
+#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -20,7 +19,6 @@
 #include "device/variation.hpp"
 #include "energy/array_model.hpp"
 #include "exec/engine.hpp"
-#include "exec/options.hpp"
 #include "sim/analysis.hpp"
 #include "sim/hierarchy_runner.hpp"
 #include "sim/metrics.hpp"
@@ -100,19 +98,13 @@ void Report::add(const std::vector<Value>& values, bool to_csv) {
   if (to_csv) csv_rows.push_back(std::move(csv));
 }
 
-u64 Context::option(const char* flag, u64 fallback) const {
-  return exec::u64_from_args(argc, argv, flag, fallback);
-}
-
 // ---------------------------------------------------------------------------
 // The driver.
 
 double scale_from(const char* text, double fallback) {
   if (text == nullptr) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') return fallback;  // junk or empty
-  return std::isfinite(v) && v > 0.0 ? v : fallback;
+  const auto v = cli::parse_double(text);
+  return v && *v > 0.0 ? *v : fallback;
 }
 
 namespace {
@@ -155,7 +147,7 @@ int run_figure(const Figure& fig, const Invocation& inv) {
   const bool replays = fig.default_scale > 0.0;
   const Context ctx{replays ? scale_from(inv.scale_text, fig.default_scale)
                             : 1.0,
-                    inv.argc, inv.argv};
+                    inv.samples, inv.seed};
   const std::string stem = inv.dir + "/" + fig.name;
   try {
     std::vector<exec::JobOutcome> outcomes;
@@ -168,14 +160,14 @@ int run_figure(const Figure& fig, const Invocation& inv) {
         jobs.insert(jobs.end(), std::make_move_iterator(more.begin()),
                     std::make_move_iterator(more.end()));
       }
-      bool resume = exec::resume_from_args(inv.argc, inv.argv, false);
+      bool resume = inv.resume;
       if (resume && !fig.resumable) {
         std::cerr << fig.name << ": --resume ignored; its columns need "
                   << "results a journal row does not keep\n";
         resume = false;
       }
       const exec::ExperimentEngine engine(
-          {.jobs = exec::jobs_from_args(inv.argc, inv.argv, 0),
+          {.jobs = inv.jobs,
            .jsonl_path = stem + ".jsonl",
            .progress = true,
            .resume = resume,
@@ -857,8 +849,8 @@ std::vector<Figure> build_registry() {
                    num("rd0/rd1", "rd_ratio", 1, "x"),
                    pct("mean saving", "mean_saving")},
        .specs = [](const Context& ctx) {
-         const u64 samples = ctx.option("--samples", 12);
-         Rng rng(ctx.option("--seed", kVariationSeed));
+         const u64 samples = ctx.samples;
+         Rng rng(ctx.seed.value_or(kVariationSeed));
          std::vector<BitEnergies> cells;
          std::vector<usize> ids;
          for (u64 s = 0; s < samples; ++s) {
@@ -882,7 +874,7 @@ std::vector<Figure> build_registry() {
          rep.summary({"mean +- std", "", "", spread(savings)});
          rep.note("across " + std::to_string(points.size()) +
                   " sampled process corners (seed " +
-                  std::to_string(ctx.option("--seed", kVariationSeed)) +
+                  std::to_string(ctx.seed.value_or(kVariationSeed)) +
                   ") the headline saving moves by a couple of\npoints "
                   "at most -- the mechanism depends on the asymmetry's "
                   "existence, not\nits exact magnitude.");
@@ -1156,7 +1148,7 @@ std::vector<Figure> build_registry() {
        .specs = [](const Context& ctx) {
          SimConfig base = cnt_only();
          base.fault.transient_per_read = 1e-5;
-         base.fault.seed = ctx.option("--seed", kFaultSeed);
+         base.fault.seed = ctx.seed.value_or(kFaultSeed);
          return suite_sweep(base, [](exec::SweepSpec& s) {
            axis(s, "density", std::vector{10.0, 100.0, 1000.0},
                 [](SimConfig& c, double d) { c.fault.stuck_per_mbit = d; });
@@ -1189,7 +1181,7 @@ std::vector<Figure> build_registry() {
                     corrected, detected, sdc, dir_sdc, mean_saving(p.results)});
          }
          rep.note("campaign seed " +
-                  std::to_string(ctx.option("--seed", kFaultSeed)));
+                  std::to_string(ctx.seed.value_or(kFaultSeed)));
        }},
 
       // S1 -- encoding win across the server-traffic scenario family

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -77,12 +78,8 @@ struct Report {
 /// What a figure reads from its invocation.
 struct Context {
   double scale = 1.0;  ///< workload scale (unused by analytic figures)
-  int argc = 0;
-  const char* const* argv = nullptr;
-
-  /// `flag N` / `flag=N` on the command line, then $CNT_<FLAG>, then
-  /// `fallback` (--samples, --seed).
-  [[nodiscard]] u64 option(const char* flag, u64 fallback) const;
+  u64 samples = 12;    ///< --samples: fig_variation's Monte Carlo width
+  std::optional<u64> seed;  ///< --seed; unset: each figure's own default
 };
 
 /// The finished jobs of one sweep point -- one axis combination at one
@@ -123,14 +120,17 @@ struct Figure {
 /// The registered figure called `name`, or nullptr.
 [[nodiscard]] const Figure* find_figure(std::string_view name);
 
-/// Workload scale from $CNT_BENCH_SCALE's text: a finite positive number
-/// wins; null, unparsable (trailing junk included), non-positive and
-/// non-finite text falls back.
+/// Workload scale from $CNT_BENCH_SCALE's text, read as cli::parse_double
+/// reads a number: a finite positive number wins; null, unparsable
+/// (trailing junk included), non-positive and non-finite text falls back.
 [[nodiscard]] double scale_from(const char* text, double fallback);
 
+/// The parsed command line and environment of one bench_figures run.
 struct Invocation {
-  int argc = 0;  ///< --jobs, --resume, --samples, --seed
-  const char* const* argv = nullptr;
+  usize jobs = 0;      ///< --jobs; 0: $CNT_JOBS, else every hardware thread
+  bool resume = false; ///< --resume / --no-resume, default $CNT_RESUME
+  u64 samples = 12;    ///< --samples
+  std::optional<u64> seed;           ///< --seed
   const char* scale_text = nullptr;  ///< $CNT_BENCH_SCALE
   std::string dir;                   ///< where <name>.csv / .jsonl land
 };

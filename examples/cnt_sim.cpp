@@ -8,7 +8,10 @@
 // dumps the machine-readable result. Unknown keys produce warnings rather
 // than silent ignores.
 #include <iostream>
+#include <optional>
+#include <string>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "sim/config_io.hpp"
 #include "sim/report.hpp"
@@ -17,17 +20,22 @@
 #include "trace/workload_suite.hpp"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: cnt_sim <config.ini> [workload] [scale]\n\n"
-              << "example config:\n"
-              << "  [cache]\n  size = 64k\n  ways = 8\n"
-              << "  [cnt]\n  window = 31\n  partitions = 16\n"
-              << "  [workload]\n  name = zipf_kv\n  scale = 1.0\n";
-    return 1;
-  }
+  std::string config_path;
+  std::optional<std::string> workload_arg;
+  std::optional<double> scale_arg;
+  cnt::cli::Parser cli(
+      "cnt_sim",
+      "Simulate one workload under an INI configuration. Example config:\n"
+      "  [cache]\n  size = 64k\n  ways = 8\n"
+      "  [cnt]\n  window = 31\n  partitions = 16\n"
+      "  [workload]\n  name = zipf_kv\n  scale = 1.0");
+  cli.positional(&config_path, "config.ini", "the INI file", {.required = true})
+      .positional(&workload_arg, "workload", "override [workload] name")
+      .positional(&scale_arg, "scale", "override [workload] scale");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   try {
-    const cnt::Config ini = cnt::Config::load(argv[1]);
+    const cnt::Config ini = cnt::Config::load(config_path);
 
     // Warn about keys the reader does not understand (typos), with a
     // nearest-match suggestion when one is close enough.
@@ -43,10 +51,10 @@ int main(int argc, char** argv) {
 
     const cnt::SimConfig cfg = cnt::sim_config_from(ini);
     const std::string workload =
-        argc > 2 ? argv[2] : ini.get_string("workload.name", "zipf_kv");
-    const double scale = argc > 3
-                             ? std::atof(argv[3])
-                             : ini.get_double("workload.scale", 1.0);
+        workload_arg ? *workload_arg
+                     : ini.get_string("workload.name", "zipf_kv");
+    const double scale =
+        scale_arg ? *scale_arg : ini.get_double("workload.scale", 1.0);
 
     std::cout << "cache   : " << cfg.cache.size_bytes / 1024 << " KiB "
               << cfg.cache.ways << "-way, " << cfg.cache.line_bytes

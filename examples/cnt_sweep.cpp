@@ -1,13 +1,10 @@
 // cnt_sweep: sweep any configuration key without writing a bench binary,
 // executed in parallel on the experiment engine.
 //
-//   $ ./cnt_sweep <base.ini|-> <config-key> <v1,v2,...> [workload|suite]
-//                 [scale] [--jobs N] [--jsonl path] [--resume]
-//                 [--job-timeout-ms N]
-//
 //   $ ./cnt_sweep - cnt.window 3,7,15,31 suite 0.2
 //   $ ./cnt_sweep - cache.size 8k,16k,32k,64k zipf_kv 0.5 --jobs 8
 //   $ ./cnt_sweep base.ini cnt.fill as-is,min-write,read-optimized,by-miss-type
+//   $ ./cnt_sweep - cnt.window 3,7,15 suite 0.2 --jsonl sweep.jsonl --resume
 //
 // "-" uses the built-in defaults as the base configuration. The key may be
 // any key `sim_config_from` understands (see src/sim/config_io.hpp).
@@ -23,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "exec/engine.hpp"
 #include "exec/options.hpp"
@@ -45,58 +43,37 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-int usage() {
-  std::cerr
-      << "usage: cnt_sweep <base.ini|-> <config-key> <v1,v2,...> "
-         "[workload|suite] [scale] [--jobs N] [--jsonl path] [--resume]\n"
-         "                 [--job-timeout-ms N]\n"
-         "examples:\n"
-         "  cnt_sweep - cnt.window 3,7,15,31 suite 0.2\n"
-         "  cnt_sweep - cache.size 8k,16k,32k,64k zipf_kv 0.5 --jobs 8\n"
-         "  cnt_sweep - cnt.window 3,7,15 suite 0.2 --jsonl sweep.jsonl "
-         "--resume\n";
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Split flags from positionals so the engine options can go anywhere.
-  std::vector<std::string> pos;
-  std::string jsonl_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" || arg == "-j") {
-      ++i;  // value consumed by jobs_from_args below
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      // handled by jobs_from_args
-    } else if (arg == "--resume" || arg == "--no-resume") {
-      // handled by resume_from_args
-    } else if (arg == "--job-timeout-ms") {
-      ++i;  // value consumed by u64_from_args below
-    } else if (arg.rfind("--job-timeout-ms=", 0) == 0) {
-      // handled by u64_from_args
-    } else if (arg == "--jsonl") {
-      if (i + 1 >= argc) return usage();
-      jsonl_path = argv[++i];
-    } else {
-      pos.push_back(arg);
-    }
-  }
-  if (pos.size() < 3) return usage();
-  const std::string base_path = pos[0];
-  const std::string key = pos[1];
-  const auto values = split_csv(pos[2]);
-  const std::string target = pos.size() > 3 ? pos[3] : "suite";
-  const double scale = pos.size() > 4 ? std::atof(pos[4].c_str()) : 0.25;
-  const usize jobs = exec::jobs_from_args(argc, argv, 0);
-  const bool resume = exec::resume_from_args(argc, argv, false);
-  const u64 job_timeout_ms =
-      exec::u64_from_args(argc, argv, "--job-timeout-ms", 0);
-  if (values.empty()) return usage();
+  std::string base_path, key, value_list, target = "suite", jsonl_path;
+  double scale = 0.25;
+  usize jobs = 0;
+  u64 job_timeout_ms = 0;
+  bool resume = exec::resume_from_env(false);
+  cli::Parser cli("cnt_sweep",
+                  "Sweep one configuration key over a workload or the suite.");
+  cli.positional(&base_path, "base", "INI file, or - for the defaults",
+                 {.required = true})
+      .positional(&key, "key", "a config key, e.g. cnt.window",
+                  {.required = true})
+      .positional(&value_list, "values", "comma-separated, e.g. 3,7,15",
+                  {.required = true})
+      .positional(&target, "workload", "a workload, or suite (default)")
+      .positional(&scale, "scale", "workload scale (default 0.25)")
+      .flag(&jobs, "--jobs", "worker threads (default $CNT_JOBS)",
+            {.alias = "-j", .min = 1})
+      .flag(&jsonl_path, "--jsonl", "write the journal here", {.value = "PATH"})
+      .flag(&resume, "--resume", "replay finished jobs from the journal",
+            {.negation = "--no-resume"})
+      .flag(&job_timeout_ms, "--job-timeout-ms",
+            "cancel an attempt after N ms (default $CNT_JOB_TIMEOUT_MS)",
+            {.min = 1});
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  const auto values = split_csv(value_list);
+  if (values.empty()) return cli.usage_error("<values> lists no value");
   if (resume && jsonl_path.empty()) {
-    std::cerr << "error: --resume needs a journal; pass --jsonl <path>\n";
-    return 1;
+    return cli.usage_error("--resume needs a journal; pass --jsonl <path>");
   }
 
   try {

@@ -2,11 +2,12 @@
 // design point -- transistor quantities, derived 6T-cell energies, the
 // threshold table they imply, and the headline cache saving.
 //
-//   $ ./device_explorer [tubes] [diameter_nm] [vdd]
-#include <cstdlib>
+//   $ ./device_explorer 6 1.2 0.8   # tubes, diameter in nm, VDD
 #include <iostream>
+#include <limits>
 
 #include "cnt/threshold.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "device/cell_derivation.hpp"
 #include "sim/report.hpp"
@@ -16,9 +17,14 @@ using namespace cnt;
 
 int main(int argc, char** argv) {
   CnfetDeviceParams dev;
-  if (argc > 1) dev.tubes_per_device = static_cast<u32>(std::atoi(argv[1]));
-  if (argc > 2) dev.diameter_nm = std::atof(argv[2]);
-  if (argc > 3) dev.vdd = std::atof(argv[3]);
+  u64 tubes = dev.tubes_per_device;
+  cli::Parser cli("device_explorer", "Walk one CNFET design point bottom-up.");
+  cli.positional(&tubes, "tubes", "nanotubes per device",
+                 {.max = std::numeric_limits<u32>::max()})
+      .positional(&dev.diameter_nm, "diameter_nm", "tube diameter in nm")
+      .positional(&dev.vdd, "vdd", "supply voltage in V");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  dev.tubes_per_device = static_cast<u32>(tubes);
 
   std::cout << "CNFET device -> cell -> cache, bottom up\n"
             << "=========================================\n\n";

@@ -14,6 +14,7 @@
 #include "cnt/encoding.hpp"
 #include "cnt/threshold.hpp"
 #include "common/bits.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "energy/sram_cell.hpp"
 
@@ -34,7 +35,11 @@ Energy line_read_cost(const PartitionScheme& ps, const BitEnergies& cell,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const cli::Parser cli("encoding_explorer",
+                        "Work through Fig. 2 and the W = 15 thresholds.");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+
   const BitEnergies cell = TechParams::cnfet().cell;
   const PartitionScheme ps(64, 8);
 

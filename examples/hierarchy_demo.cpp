@@ -2,10 +2,10 @@
 // encoding applied at the L1s, fed by an interleaved instruction + data
 // stream (about two fetches per data access).
 //
-//   $ ./hierarchy_demo [scale]
-#include <cstdlib>
+//   $ ./hierarchy_demo 0.5   # workload scale
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/hierarchy_runner.hpp"
 #include "trace/workload_suite.hpp"
@@ -13,7 +13,10 @@
 using namespace cnt;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
+  double scale = 0.5;
+  cli::Parser cli("hierarchy_demo", "Split L1 + L2, CNT-Cache at the L1s.");
+  cli.positional(&scale, "scale", "workload scale (default 0.5)");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   const Workload data = build_workload("zipf_kv", scale);
   const Workload code = build_workload("ifetch", scale);

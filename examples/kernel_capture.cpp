@@ -10,6 +10,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "sim/report.hpp"
@@ -88,7 +89,11 @@ Workload fir_kernel() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const cli::Parser cli("kernel_capture",
+                        "Measure three C++ kernels in the simulator.");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+
   std::cout << "Kernel capture: three hand-written C++ kernels through the "
                "CNT-Cache simulator\n\n";
 

@@ -1,21 +1,26 @@
 // Quickstart: simulate one workload through a 32 KiB CNT-Cache and print
 // where the energy goes.
 //
-//   $ ./quickstart [workload] [scale]
+//   $ ./quickstart zipf_kv 0.05
 //
 // Demonstrates the core public API: build a workload, configure the
 // simulation, run it, inspect savings and the per-category breakdown.
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "trace/workload_suite.hpp"
 
 int main(int argc, char** argv) {
-  const std::string workload = argc > 1 ? argv[1] : "zipf_kv";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+  std::string workload = "zipf_kv";
+  double scale = 1.0;
+  cnt::cli::Parser cli("quickstart", "Simulate one workload, show savings.");
+  cli.positional(&workload, "workload", "a workload (default zipf_kv)")
+      .positional(&scale, "scale", "workload scale (default 1)");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   std::cout << "CNT-Cache quickstart\n====================\n\n";
 

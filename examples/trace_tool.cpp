@@ -1,42 +1,29 @@
-// Trace tool: generate suite workloads as portable trace files, inspect
-// them, and replay them through the simulator.
+// Trace tool: inspect trace files and replay them through the simulator.
 //
-//   $ ./trace_tool gen <workload> <out.(txt|trs)> [scale]
-//   $ ./trace_tool info <trace.(txt|trs)>
-//   $ ./trace_tool replay <trace.(txt|trs)>
+//   $ ./trace_tool info big.trs
+//   $ ./trace_tool replay trace.txt
 //
 // The text format is human-readable/editable; the .trs chunked format
 // (docs/trace_streaming.md) is compact AND streamable -- info and replay
 // pull it chunk by chunk, so a .trs file larger than RAM still inspects
 // and replays in O(chunk) memory. The extension picks the format
-// (trace/trace_io.hpp).
+// (trace/trace_io.hpp). cnt_tracegen writes both.
 // Replaying an external trace only exercises the cache + energy models
 // (no initial memory image travels with a bare trace, so unwritten
 // memory reads as zero).
 #include <iostream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "trace/trace_io.hpp"
-#include "trace/workload_suite.hpp"
 
 using namespace cnt;
 
 namespace {
-
-int usage() {
-  std::cerr << "usage:\n"
-            << "  trace_tool gen <workload> <out.(txt|trs)> [scale]\n"
-            << "  trace_tool info <trace.(txt|trs)>\n"
-            << "  trace_tool replay <trace.(txt|trs)>\n"
-            << "workloads:";
-  for (const auto& n : suite_names()) std::cerr << ' ' << n;
-  std::cerr << " ifetch\n";
-  return 1;
-}
 
 void print_info(const std::string& name, const TraceStats& s) {
   Table info({"metric", "value"});
@@ -62,27 +49,20 @@ void print_replay(const SimResult& res) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string cmd = argv[1];
+  std::string cmd, path;
+  cli::Parser cli("trace_tool", "Inspect or replay a .txt or .trs trace.");
+  cli.positional(&cmd, "command", "info or replay",
+                 {.choices = {"info", "replay"}, .required = true})
+      .positional(&path, "trace", "a .txt or .trs file", {.required = true});
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
   try {
-    if (cmd == "gen") {
-      if (argc < 4) return usage();
-      const double scale = argc > 4 ? std::atof(argv[4]) : 1.0;
-      const Workload w = build_workload(argv[2], scale);
-      save_trace(w.trace, argv[3]);
-      std::cout << "wrote " << w.trace.size() << " records to " << argv[3]
-                << "\n";
-      print_info(w.trace.name(), w.trace.stats());
-    } else if (cmd == "info") {
-      const auto src = open_trace(argv[2]);
+    const auto src = open_trace(path);
+    if (cmd == "info") {
       print_info(src->name(), stats_of(*src));
-    } else if (cmd == "replay") {
-      const auto src = open_trace(argv[2]);
+    } else {
       const SimResult res = simulate(*src, {}, SimConfig{});
       print_info(src->name(), res.trace_stats);
       print_replay(res);
-    } else {
-      return usage();
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << cnt::format_error(e) << "\n";

@@ -2,11 +2,21 @@
 
 #include <bit>
 #include <cassert>
+#include <limits>
 
 #include "common/bits.hpp"
+#include "common/error.hpp"
 #include "energy/sram_cell.hpp"
 
 namespace cnt {
+
+void CntConfig::validate() const {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  require_range("cnt.window", static_cast<double>(window), 1.0, kMax,
+                "a window of at least 1 access");
+  require_range("cnt.delta_t", delta_t, 0.0, kMax,
+                "a finite hysteresis margin >= 0");
+}
 
 const char* to_string(FillDirectionPolicy p) noexcept {
   switch (p) {
@@ -23,6 +33,13 @@ const char* to_string(HistoryScope s) noexcept {
 }
 
 namespace {
+
+/// `cfg`, once it has passed validate(): the first member initializer
+/// already derives the H&D width from the window.
+const CntConfig& validated(const CntConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
 
 // Adds on top of any meta bits already in the base geometry (e.g.
 // protection check bits sized by the runner).
@@ -60,7 +77,7 @@ double predictor_write_weight(const CntConfig& cfg, usize line_bytes) {
 CntPolicy::CntPolicy(std::string name, const TechParams& tech,
                      ArrayGeometry geom, const CntConfig& cfg)
     : EnergyPolicyBase(std::move(name), tech,
-                       with_meta(geom, meta_width(cfg, geom.ways)),
+                       with_meta(geom, meta_width(validated(cfg), geom.ways)),
                        cfg.write_granularity),
       cfg_(cfg),
       predictor_(tech.cell, PartitionScheme(geom.line_bytes, cfg.partitions),

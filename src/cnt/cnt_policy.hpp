@@ -71,6 +71,11 @@ struct CntConfig {
   /// the ones whose raw reads are the CNFET worst case. A write that makes
   /// the line non-zero materializes it with a full-line write.
   bool zero_line_opt = false;
+
+  /// Reject knobs the predictor cannot run with: a zero window (W) and a
+  /// negative or non-finite hysteresis margin. Throws ValueError
+  /// (Errc::kRange) naming the INI key (cnt.window, cnt.delta_t).
+  void validate() const;
 };
 
 struct CntPolicyStats {

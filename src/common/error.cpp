@@ -1,6 +1,7 @@
 #include "common/error.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 namespace cnt {
 
@@ -57,6 +58,17 @@ std::string ErrorInfo::render() const {
     out += hint;
   }
   return out;
+}
+
+void require_range(const char* key, double value, double lo, double hi,
+                   const char* meaning) {
+  if (value >= lo && value <= hi) return;
+  std::ostringstream shown;
+  shown << value;
+  throw ValueError(Errc::kRange, std::string("key '") + key +
+                                     "' has out-of-range value '" +
+                                     shown.str() + "'")
+      .hint(std::string("use ") + meaning);
 }
 
 std::string format_error(const std::exception& e) {

@@ -142,6 +142,12 @@ using ValueError = BasicError<std::invalid_argument>;
 /// carries an ErrorInfo, plain what() otherwise.
 [[nodiscard]] std::string format_error(const std::exception& e);
 
+/// Config knob check: throw ValueError (Errc::kRange) naming the INI `key`
+/// and hinting "use <meaning>" unless lo <= value <= hi (NaN fails every
+/// comparison, so it is refused too).
+void require_range(const char* key, double value, double lo, double hi,
+                   const char* meaning);
+
 /// Strict-parse resource caps. Every ingest parser enforces these so a
 /// malformed or hostile input can never trigger unbounded memory growth:
 /// text lines and record/key counts are bounded, and a binary header's

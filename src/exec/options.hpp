@@ -1,12 +1,13 @@
 // Uniform parallelism / resumability knobs for every CLI in the repo.
 //
-// Precedence, strongest first: an explicit command-line flag (--jobs N /
-// --jobs=N / -j N, --resume / --no-resume), then the environment
-// (CNT_JOBS, CNT_RESUME, CNT_RETRIES), then the caller's fallback (0 =
-// "unspecified", which the engine resolves to the hardware thread count
-// for jobs and to "no retries" for retries). All parsers are forgiving:
-// malformed values fall through to the next source rather than aborting
-// a batch run.
+// Precedence, strongest first: an explicit command-line flag (--jobs N,
+// --resume / --no-resume, --job-timeout-ms N, parsed by common/cli.hpp),
+// then the environment (CNT_JOBS, CNT_RESUME, CNT_RETRIES,
+// CNT_JOB_TIMEOUT_MS), then the caller's fallback (0 = "unspecified",
+// which the engine resolves to the hardware thread count for jobs and to
+// "no retries" / "no watchdog" otherwise). The command line is strict;
+// the environment readers here are forgiving: a malformed value falls
+// through to the next source rather than aborting a batch run.
 #pragma once
 
 #include "common/types.hpp"
@@ -19,23 +20,13 @@ namespace cnt::exec {
 /// $CNT_JOBS as a positive integer, else `fallback`.
 [[nodiscard]] usize jobs_from_env(usize fallback = 0) noexcept;
 
-/// Scan argv for --jobs N, --jobs=N or -j N; falls back to $CNT_JOBS and
-/// then `fallback`. Does not mutate argv; unknown flags are ignored.
-[[nodiscard]] usize jobs_from_args(int argc, const char* const* argv,
-                                   usize fallback = 0) noexcept;
-
 /// Resolve an "unspecified" job count: n itself if n > 0, else $CNT_JOBS,
 /// else the hardware thread count.
 [[nodiscard]] usize resolve_jobs(usize n) noexcept;
 
 /// $CNT_RESUME as a boolean ("1"/"true"/"yes"/"on", case-sensitive),
-/// else `fallback`.
+/// else `fallback`. The --resume flag's default.
 [[nodiscard]] bool resume_from_env(bool fallback = false) noexcept;
-
-/// Scan argv for --resume / --no-resume (last one wins); falls back to
-/// $CNT_RESUME and then `fallback`. Does not mutate argv.
-[[nodiscard]] bool resume_from_args(int argc, const char* const* argv,
-                                    bool fallback = false) noexcept;
 
 /// $CNT_RETRIES as a non-negative integer (extra attempts per failed
 /// job), else `fallback`.
@@ -53,14 +44,5 @@ namespace cnt::exec {
 /// else $CNT_JOB_TIMEOUT_MS, else 0 -- watchdog disabled, the historical
 /// behaviour (docs/robustness.md).
 [[nodiscard]] u64 resolve_job_timeout(u64 n) noexcept;
-
-/// Generic positive-integer flag: scan argv for `<flag> N` / `<flag>=N`
-/// (pass the full spelling, e.g. "--samples"), then $CNT_<NAME> (the flag
-/// name without dashes, uppercased, '-' -> '_'), then `fallback`. Zero
-/// and malformed values fall through to the next source. Used for bench
-/// knobs like --samples and --seed, whose values (sample counts, RNG
-/// seeds) need the full u64 range.
-[[nodiscard]] u64 u64_from_args(int argc, const char* const* argv,
-                                const char* flag, u64 fallback) noexcept;
 
 }  // namespace cnt::exec

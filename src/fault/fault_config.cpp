@@ -1,27 +1,8 @@
 #include "fault/fault_config.hpp"
 
-#include <sstream>
-#include <string>
-
 #include "common/error.hpp"
 
 namespace cnt {
-namespace {
-
-/// Throw unless lo <= value <= hi (NaN fails every comparison, so it is
-/// rejected too).
-void require_range(const char* key, double value, double lo, double hi,
-                   const char* meaning) {
-  if (value >= lo && value <= hi) return;
-  std::ostringstream shown;
-  shown << value;
-  throw ValueError(Errc::kRange, std::string("key '") + key +
-                                     "' has out-of-range value '" +
-                                     shown.str() + "'")
-      .hint(std::string("use ") + meaning);
-}
-
-}  // namespace
 
 void FaultConfig::validate() const {
   require_range("fault.stuck_per_mbit", stuck_per_mbit, 0.0, 1024.0 * 1024.0,

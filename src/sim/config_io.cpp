@@ -127,8 +127,9 @@ SimConfig sim_config_from(const Config& cfg) {
   sim.with_static = cfg.get_bool("policies.static", sim.with_static);
   sim.with_ideal = cfg.get_bool("policies.ideal", sim.with_ideal);
 
-  // Fail fast on invalid geometry and fault knobs.
+  // Fail fast on invalid geometry, CNT and fault knobs.
   sim.cache.validate();
+  sim.cnt.validate();
   sim.fault.validate();
   return sim;
 }

@@ -16,18 +16,6 @@ namespace cnt {
 
 namespace {
 
-enum class TraceFormat : u8 { kText, kStream };
-
-/// The one place a trace path's extension picks its format.
-TraceFormat format_of(const std::string& path) {
-  if (path.ends_with(".txt")) return TraceFormat::kText;
-  if (path.ends_with(".trs")) return TraceFormat::kStream;
-  throw Error(Errc::kValue, "unsupported trace file extension")
-      .at(path)
-      .hint("trace files are .txt (text, human-editable) or .trs "
-            "(chunked, streamable)");
-}
-
 MemOp parse_op(char c, const std::string& source, usize line_no) {
   switch (c) {
     case 'R': return MemOp::kRead;
@@ -65,6 +53,15 @@ u64 parse_field(std::string_view tok, int base, const char* what,
 }
 
 }  // namespace
+
+TraceFormat trace_format(const std::string& path) {
+  if (path.ends_with(".txt")) return TraceFormat::kText;
+  if (path.ends_with(".trs")) return TraceFormat::kStream;
+  throw Error(Errc::kValue, "unsupported trace file extension")
+      .at(path)
+      .hint("trace files are .txt (text, human-editable) or .trs "
+            "(chunked, streamable)");
+}
 
 void write_text(const Trace& trace, std::ostream& os) {
   os << "# cnt-cache trace: " << trace.name() << "\n";
@@ -165,7 +162,7 @@ Trace read_text(std::istream& is, std::string name,
 }
 
 void save_trace(const Trace& trace, const std::string& path) {
-  if (format_of(path) == TraceFormat::kStream) {
+  if (trace_format(path) == TraceFormat::kStream) {
     stream::StreamTraceWriter writer(path);
     for (const auto& a : trace) writer.push(a);
     writer.finish();
@@ -180,7 +177,7 @@ void save_trace(const Trace& trace, const std::string& path) {
 }
 
 std::unique_ptr<TraceSource> open_trace(const std::string& path) {
-  if (format_of(path) == TraceFormat::kStream) {
+  if (trace_format(path) == TraceFormat::kStream) {
     return std::make_unique<stream::StreamTraceSource>(path);
   }
   std::ifstream in(path);

@@ -27,6 +27,12 @@
 
 namespace cnt {
 
+enum class TraceFormat : u8 { kText, kStream };
+
+/// The one place a trace path's extension picks its format: `.txt` is
+/// kText, `.trs` is kStream, and any other extension throws.
+[[nodiscard]] TraceFormat trace_format(const std::string& path);
+
 /// Serialize to the text format. Never fails on a well-formed trace.
 void write_text(const Trace& trace, std::ostream& os);
 

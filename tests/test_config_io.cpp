@@ -108,6 +108,36 @@ TEST(SimConfigIo, OutOfRangeFaultKnobsThrowNamingTheKey) {
   }
 }
 
+TEST(SimConfigIo, OutOfRangeCntKnobsThrowNamingTheKey) {
+  const struct {
+    const char* key;
+    const char* ini;
+  } cases[] = {
+      {"cnt.window", "[cnt]\nwindow = 0\n"},
+      {"cnt.delta_t", "[cnt]\ndelta_t = -5\n"},
+      {"cnt.delta_t", "[cnt]\ndelta_t = nan\n"},
+      {"cnt.delta_t", "[cnt]\ndelta_t = inf\n"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)sim_config_from(Config::parse_string(c.ini));
+      ADD_FAILURE() << "accepted: " << c.ini;
+    } catch (const ValueError& e) {
+      EXPECT_EQ(e.info().code, Errc::kRange) << c.ini;
+      EXPECT_NE(e.info().message.find(std::string("'") + c.key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SimConfigIo, CntKnobsAcceptTheirEdges) {
+  const SimConfig cfg = sim_config_from(
+      Config::parse_string("[cnt]\nwindow = 1\ndelta_t = 0\n"));
+  EXPECT_EQ(cfg.cnt.window, 1u);
+  EXPECT_EQ(cfg.cnt.delta_t, 0.0);
+}
+
 TEST(SimConfigIo, FaultKnobsAcceptTheirClosedRanges) {
   const SimConfig cfg = sim_config_from(Config::parse_string(
       "[fault]\ntransient_per_read = 1\nstuck_at1 = 0\n"

@@ -7,8 +7,6 @@
 // drain paths deterministically.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +21,7 @@
 #include "exec/interrupt.hpp"
 #include "trace/stream/stream_reader.hpp"
 #include "trace/stream/stream_writer.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt::exec {
 namespace {
@@ -46,13 +45,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-/// ctest runs each discovered test as its own process against the same
-/// TempDir, so every artifact path needs a per-process suffix to keep
-/// parallel test runs from clobbering each other.
-std::string unique_path(const std::string& stem) {
-  return ::testing::TempDir() + stem + "." + std::to_string(::getpid());
 }
 
 bool context_mentions(const ErrorInfo& info, const std::string& needle) {
@@ -86,19 +78,12 @@ EngineOptions journal_opts(const std::string& path, bool resume) {
 
 class CrashConsistencyTest : public ::testing::Test {
  protected:
-  std::string path_ = unique_path("cnt_crash_sweep.jsonl");
+  test::ScratchDir dir_;
+  std::string path_ = dir_ / "sweep.jsonl";
   TortureGuard guard_;
 
-  void TearDown() override {
-    std::error_code ec;
-    fsys::remove(path_, ec);
-    fsys::remove(path_ + ".partial", ec);
-    fsys::remove(reference_path(), ec);
-    fsys::remove(reference_path() + ".partial", ec);
-  }
-
   [[nodiscard]] std::string reference_path() const {
-    return unique_path("cnt_crash_reference.jsonl");
+    return dir_ / "reference.jsonl";
   }
 
   /// Clean run into a second path: the byte-level ground truth.
@@ -233,7 +218,8 @@ INSTANTIATE_TEST_SUITE_P(SigintSigterm, SignalDrainTest,
 
 TEST(TornStreamedTrace, RefusedByReaderThenRegenerates) {
   TortureGuard guard;
-  const std::string path = unique_path("cnt_crash_torn.trs");
+  const test::ScratchDir dir;
+  const std::string path = dir / "torn.trs";
   auto write_trace = [&path]() {
     stream::StreamTraceWriter writer(path, 16);
     for (u64 i = 0; i < 100; ++i) {
@@ -274,12 +260,12 @@ TEST(TornStreamedTrace, RefusedByReaderThenRegenerates) {
   usize n = 0;
   while ((n = src.next(std::span<MemAccess>(buf))) > 0) total += n;
   EXPECT_EQ(total, 100u);
-  (void)fsys::remove(path);
 }
 
 TEST(TornStreamedTrace, WriterRefusesToSealAfterAFailedChunk) {
   TortureGuard guard;
-  const std::string path = unique_path("cnt_crash_seal.trs");
+  const test::ScratchDir dir;
+  const std::string path = dir / "seal.trs";
   fp::configure("trs.write=error:ENOSPC@2");
   stream::StreamTraceWriter writer(path, 4);
   bool push_failed = false;
@@ -301,7 +287,6 @@ TEST(TornStreamedTrace, WriterRefusesToSealAfterAFailedChunk) {
     EXPECT_NE(e.info().message.find("refusing to seal"), std::string::npos);
     EXPECT_NE(e.info().hint.find("regenerate"), std::string::npos);
   }
-  (void)fsys::remove(path);
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 // user-facing diagnostics, so changing a message is a deliberate act.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -19,6 +17,7 @@
 #include "exec/journal.hpp"
 #include "fault/fault_config.hpp"
 #include "trace/trace_io.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -169,8 +168,8 @@ TEST(GoldenFaultConfig, NegativeDensityAndBadFractionNameTheirKeys) {
 TEST(GoldenIo, InjectedEnospcRendersWhatWhereAndHint) {
   fp::clear();
   fp::configure("csv.write=error:ENOSPC");
-  const std::string path = ::testing::TempDir() + "golden_io." +
-                           std::to_string(::getpid()) + ".csv";
+  const test::ScratchDir dir;
+  const std::string path = dir / "golden_io.csv";
   io::DurableFile f(path, "csv");
   try {
     f.write("row\n");
@@ -188,14 +187,13 @@ TEST(GoldenIo, InjectedEnospcRendersWhatWhereAndHint) {
   }
   fp::clear();
   f.close();
-  (void)std::remove(path.c_str());
 }
 
 TEST(GoldenIo, ShortWriteNamesTheTornByteCount) {
   fp::clear();
   fp::configure("csv.write=short-write");
-  const std::string path = ::testing::TempDir() + "golden_torn." +
-                           std::to_string(::getpid()) + ".csv";
+  const test::ScratchDir dir;
+  const std::string path = dir / "golden_torn.csv";
   io::DurableFile f(path, "csv");
   try {
     f.write("abcdefgh");
@@ -209,13 +207,12 @@ TEST(GoldenIo, ShortWriteNamesTheTornByteCount) {
   }
   fp::clear();
   f.close();
-  (void)std::remove(path.c_str());
 }
 
 TEST(GoldenIo, FsyncEioAndRenameFailureNameTheFailedStep) {
   fp::clear();
-  const std::string path = ::testing::TempDir() + "golden_sync." +
-                           std::to_string(::getpid()) + ".csv";
+  const test::ScratchDir dir;
+  const std::string path = dir / "golden_sync.csv";
   {
     fp::configure("csv.sync=error:EIO");
     io::DurableFile f(path, "csv");
@@ -247,7 +244,6 @@ TEST(GoldenIo, FsyncEioAndRenameFailureNameTheFailedStep) {
     }
     fp::clear();
   }
-  (void)std::remove(path.c_str());
 }
 
 TEST(ErrorTaxonomy, FormatErrorFallsBackForPlainExceptions) {

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -21,6 +19,7 @@
 #include "exec/sweep.hpp"
 #include "sim/report.hpp"
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt::exec {
 namespace {
@@ -141,12 +140,9 @@ TEST(ExperimentEngine, ParallelMatchesSerialBitExactly) {
 
 // And the JSONL telemetry (timing off) is byte-identical too.
 TEST(ExperimentEngine, ParallelJsonlMatchesSerialByteExactly) {
-  const std::string serial_path =
-      ::testing::TempDir() + "cnt_engine_serial." +
-      std::to_string(::getpid()) + ".jsonl";
-  const std::string parallel_path =
-      ::testing::TempDir() + "cnt_engine_parallel." +
-      std::to_string(::getpid()) + ".jsonl";
+  const test::ScratchDir dir;
+  const std::string serial_path = dir / "serial.jsonl";
+  const std::string parallel_path = dir / "parallel.jsonl";
   const auto spec = small_spec();
   (void)ExperimentEngine(
       {.jobs = 1, .jsonl_path = serial_path, .jsonl_timing = false})
@@ -239,18 +235,6 @@ TEST(Options, JobsPrecedenceChain) {
 
   setenv("CNT_JOBS", "garbage", 1);
   EXPECT_EQ(jobs_from_env(4), 4u);
-
-  const char* argv1[] = {"bench", "--jobs", "5"};
-  EXPECT_EQ(jobs_from_args(3, argv1, 0), 5u);
-  const char* argv2[] = {"bench", "--jobs=7"};
-  EXPECT_EQ(jobs_from_args(2, argv2, 0), 7u);
-  const char* argv3[] = {"bench", "-j", "2"};
-  EXPECT_EQ(jobs_from_args(3, argv3, 0), 2u);
-
-  setenv("CNT_JOBS", "9", 1);
-  const char* argv4[] = {"bench", "--other"};
-  EXPECT_EQ(jobs_from_args(2, argv4, 0), 9u);  // falls back to env
-  EXPECT_EQ(jobs_from_args(3, argv1, 0), 5u);  // flag beats env
 
   unsetenv("CNT_JOBS");
   EXPECT_GE(resolve_jobs(0), 1u);  // hardware fallback

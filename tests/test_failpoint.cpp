@@ -4,8 +4,6 @@
 // environment configuration, hit-count probing and the crash action.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -20,6 +18,7 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -163,9 +162,8 @@ TEST(FailpointHang, ParkEndsWhenTheInstalledTokenIsCancelled) {
 
 TEST(FailpointEnv, ConfigureFromEnvArmsAndReportProbes) {
   FpGuard guard;
-  const std::string report = ::testing::TempDir() +
-                             "cnt_failpoint_report." +
-                             std::to_string(::getpid());
+  const test::ScratchDir dir;
+  const std::string report = dir / "report";
   ASSERT_EQ(::setenv("CNT_FAILPOINTS", "csv.write=error:ENOSPC@7", 1), 0);
   ASSERT_EQ(::setenv("CNT_FAILPOINT_REPORT", report.c_str(), 1), 0);
   fp::configure_from_env();
@@ -185,21 +183,18 @@ TEST(FailpointEnv, ConfigureFromEnvArmsAndReportProbes) {
   std::stringstream got;
   got << in.rdbuf();
   EXPECT_EQ(got.str(), "csv.write 2\ntrs.sync 1\n");
-  (void)std::remove(report.c_str());
 }
 
 TEST(FailpointProbe, ReportModeCountsWithoutArming) {
   FpGuard guard;
-  const std::string report = ::testing::TempDir() +
-                             "cnt_failpoint_probe." +
-                             std::to_string(::getpid());
+  const test::ScratchDir dir;
+  const std::string report = dir / "probe";
   ASSERT_EQ(::setenv("CNT_FAILPOINT_REPORT", report.c_str(), 1), 0);
   fp::configure_from_env();
   ASSERT_EQ(::unsetenv("CNT_FAILPOINT_REPORT"), 0);
   EXPECT_TRUE(fp::enabled());  // probing counts as enabled
   EXPECT_EQ(fp::check("journal.write"), fp::Action::kNone);
   EXPECT_EQ(fp::hit_count("journal.write"), 1u);
-  (void)std::remove(report.c_str());
 }
 
 using FailpointDeathTest = ::testing::Test;

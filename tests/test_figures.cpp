@@ -21,6 +21,7 @@
 #include "common/hash.hpp"
 #include "common/json.hpp"
 #include "figures.hpp"
+#include "scratch_dir.hpp"
 
 namespace {
 
@@ -53,13 +54,12 @@ TEST_P(FigureGolden, CsvMatchesRecordedDigest) {
   const bench::Figure* fig = bench::find_figure(name);
   ASSERT_NE(fig, nullptr);
 
-  const fs::path dir = fs::path(::testing::TempDir()) / ("figures_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const test::ScratchDir scratch;
+  const fs::path& dir = scratch.path();
   const std::string scale = std::to_string(golden().at("scale").as_double());
-  const std::string jobs = std::to_string(golden().at("jobs").as_u64());
-  const char* argv[] = {"bench_figures", "--jobs", jobs.c_str()};
-  const bench::Invocation inv{3, argv, scale.c_str(), dir.string()};
+  const bench::Invocation inv{.jobs = golden().at("jobs").as_u64(),
+                              .scale_text = scale.c_str(),
+                              .dir = dir.string()};
   ASSERT_EQ(bench::run_figure(*fig, inv), 0);
 
   // The figure writes exactly one CSV, named after it, plus the engine's
@@ -80,13 +80,10 @@ TEST_P(FigureGolden, CsvMatchesRecordedDigest) {
 
   // A --resume rerun over the finished journal replays every job from it
   // and must publish the same bytes.
-  const char* resume_argv[] = {"bench_figures", "--jobs", jobs.c_str(),
-                               "--resume"};
-  const bench::Invocation resumed{4, resume_argv, scale.c_str(),
-                                  dir.string()};
+  bench::Invocation resumed = inv;
+  resumed.resume = true;
   ASSERT_EQ(bench::run_figure(*fig, resumed), 0);
   EXPECT_EQ(slurp(dir / (name + ".csv")), csv) << "resumed " << name;
-  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -34,8 +34,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include "common/json.hpp"
 #include "sim/hierarchy_runner.hpp"
 #include "sim/runner.hpp"
@@ -45,6 +43,7 @@
 #include "trace/stream/stream_writer.hpp"
 #include "trace/stream/trace_source.hpp"
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -105,9 +104,8 @@ TEST(GoldenLedgers, SrvStreamedReplay) {
   gen::ServerTrafficParams p;
   p.records = usize{1} << 14;
   p.ops = 30000;
-  const std::string path =
-      testing::TempDir() + "/golden_srv_stream." +
-      std::to_string(::getpid()) + ".trs";
+  const test::ScratchDir dir;
+  const std::string path = dir / "srv_stream.trs";
   {
     stream::StreamTraceWriter writer(path);
     (void)gen::generate_server_traffic(p, writer);
@@ -115,7 +113,6 @@ TEST(GoldenLedgers, SrvStreamedReplay) {
   }
   stream::StreamTraceSource source(path);
   const SimResult r = simulate(source, {}, small_config());
-  (void)std::remove(path.c_str());
   check_against_golden("srv_stream", render(r));
 }
 

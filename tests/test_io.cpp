@@ -4,8 +4,6 @@
 // deterministic failure injection through the failpoint registry.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +14,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -37,16 +36,8 @@ std::string slurp(const std::string& path) {
 
 class IoTest : public ::testing::Test {
  protected:
-  // ctest runs each discovered test as its own process against the same
-  // TempDir; the pid suffix keeps parallel runs from clobbering each
-  // other.
-  std::string path_ = ::testing::TempDir() + "cnt_io_test.out." +
-                      std::to_string(::getpid());
-  void TearDown() override {
-    std::error_code ec;
-    fsys::remove(path_, ec);
-    fsys::remove(path_ + ".partial", ec);
-  }
+  test::ScratchDir dir_;
+  std::string path_ = dir_ / "io_test.out";
 };
 
 TEST(IoErrno, NamesAndLabelsAreStable) {

@@ -14,6 +14,7 @@
 #include "common/hash.hpp"
 #include "exec/engine.hpp"
 #include "exec/result_sink.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt::exec {
 namespace {
@@ -29,13 +30,6 @@ Job make_job(u64 id, const std::string& workload = "stream_copy") {
   j.config.cnt.window = 7;
   j.config.with_cmos = j.config.with_static = j.config.with_ideal = false;
   return j;
-}
-
-std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  std::remove((path + ".partial").c_str());
-  return path;
 }
 
 TEST(Hash, Crc32KnownAnswer) {
@@ -136,14 +130,16 @@ TEST(Journal, HeaderLineIsSealedAndParseable) {
 }
 
 TEST(Journal, LoadMissingFileIsEmpty) {
-  const JournalData data = load_journal(temp_path("cnt_journal_none.jsonl"));
+  const test::ScratchDir dir;
+  const JournalData data = load_journal(dir / "none.jsonl");
   EXPECT_FALSE(data.header_ok);
   EXPECT_TRUE(data.rows.empty());
   EXPECT_TRUE(data.source_path.empty());
 }
 
 TEST(Journal, LoadRejectsHeaderlessFile) {
-  const std::string path = temp_path("cnt_journal_headerless.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "headerless.jsonl";
   {
     std::ofstream out(path);  // cnt-lint: io-ok fabricating raw journal bytes
     JobOutcome o = run_job(make_job(0));
@@ -156,7 +152,8 @@ TEST(Journal, LoadRejectsHeaderlessFile) {
 }
 
 TEST(Journal, RoundTripThroughSinkAndLoad) {
-  const std::string path = temp_path("cnt_journal_roundtrip.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "roundtrip.jsonl";
   const Job job0 = make_job(0, "stream_copy");
   const Job job1 = make_job(1, "zipf_kv");
   {
@@ -181,7 +178,8 @@ TEST(Journal, RoundTripThroughSinkAndLoad) {
 }
 
 TEST(Journal, TornTailIsTruncated) {
-  const std::string path = temp_path("cnt_journal_torn.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "torn.jsonl";
   std::ostringstream row0, row1;
   write_jsonl_row(run_job(make_job(0)), row0, false);
   write_jsonl_row(run_job(make_job(1, "zipf_kv")), row1, false);
@@ -204,7 +202,8 @@ TEST(Journal, TornTailIsTruncated) {
 }
 
 TEST(Journal, CorruptionStopsTheUsablePrefix) {
-  const std::string path = temp_path("cnt_journal_corrupt.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "corrupt.jsonl";
   std::ostringstream row0, row1, row2;
   write_jsonl_row(run_job(make_job(0)), row0, false);
   write_jsonl_row(run_job(make_job(1, "zipf_kv")), row1, false);
@@ -232,7 +231,8 @@ TEST(Journal, CorruptionStopsTheUsablePrefix) {
 }
 
 TEST(Journal, MidFileCorruptionYieldsRefusalError) {
-  const std::string path = temp_path("cnt_journal_refusal.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "refusal.jsonl";
   std::ostringstream row0, row1;
   write_jsonl_row(run_job(make_job(0)), row0, false);
   write_jsonl_row(run_job(make_job(1, "zipf_kv")), row1, false);
@@ -257,7 +257,8 @@ TEST(Journal, MidFileCorruptionYieldsRefusalError) {
 }
 
 TEST(Journal, PartialIsPreferredOverFinal) {
-  const std::string path = temp_path("cnt_journal_partial.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "partial.jsonl";
   std::ostringstream row;
   write_jsonl_row(run_job(make_job(0)), row, false);
   {
@@ -278,6 +279,7 @@ TEST(Journal, PartialIsPreferredOverFinal) {
 // The load-bearing resume property: a reconstructed outcome reproduces
 // every aggregate the benches derive from a SimResult, bit-for-bit.
 TEST(Journal, OutcomeReconstructionIsExact) {
+  const test::ScratchDir dir;
   const Job job = make_job(0);
   const JobOutcome original = run_job(job);
   ASSERT_TRUE(original.ok);
@@ -286,7 +288,7 @@ TEST(Journal, OutcomeReconstructionIsExact) {
   write_jsonl_row(original, os, /*include_timing=*/false);
   JournalRow row;
   {
-    const std::string path = temp_path("cnt_journal_exact.jsonl");
+    const std::string path = dir / "exact.jsonl";
     std::ofstream out(path);  // cnt-lint: io-ok fabricating raw journal bytes
     out << make_header_line(1, 1) << '\n' << os.str() << '\n';
     out.close();
@@ -336,13 +338,14 @@ TEST(Journal, OutcomeReconstructionIsExact) {
 }
 
 TEST(Journal, FailedRowRoundTrips) {
+  const test::ScratchDir dir;
   const Job job = make_job(0, "no_such_workload");
   const JobOutcome original = run_job(job);
   ASSERT_FALSE(original.ok);
 
   std::ostringstream os;
   write_jsonl_row(original, os, false);
-  const std::string path = temp_path("cnt_journal_failed.jsonl");
+  const std::string path = dir / "failed.jsonl";
   {
     std::ofstream out(path);  // cnt-lint: io-ok fabricating raw journal bytes
     out << make_header_line(1, 1) << '\n' << os.str() << '\n';

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +14,7 @@
 #include <vector>
 
 #include "exec/journal.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt::exec {
 namespace {
@@ -169,8 +168,8 @@ TEST(JsonlSink, DisabledSinkStillTracksOrdering) {
 }
 
 TEST(JsonlSink, FileSinkWrites) {
-  const std::string path = ::testing::TempDir() + "cnt_sink_test." +
-                           std::to_string(::getpid()) + ".jsonl";
+  const test::ScratchDir dir;
+  const std::string path = dir / "sink.jsonl";
   {
     JsonlSink sink(path);
     EXPECT_TRUE(sink.enabled());
@@ -188,10 +187,8 @@ TEST(JsonlSink, FileSinkWrites) {
 // The journal staging contract: rows stream into <path>.partial and only
 // finish() publishes <path> via rename.
 TEST(JsonlSink, FileSinkStagesInPartialUntilFinish) {
-  const std::string path = ::testing::TempDir() + "cnt_sink_stage." +
-                           std::to_string(::getpid()) + ".jsonl";
-  std::remove(path.c_str());
-  std::remove((path + ".partial").c_str());
+  const test::ScratchDir dir;
+  const std::string path = dir / "stage.jsonl";
   {
     JsonlSink sink(path);
     sink.write_header(/*fingerprint=*/0xabcdu, /*jobs=*/1);
@@ -205,10 +202,8 @@ TEST(JsonlSink, FileSinkStagesInPartialUntilFinish) {
 }
 
 TEST(JsonlSink, CloseInterruptedKeepsPartialAndFlushesBufferedRows) {
-  const std::string path = ::testing::TempDir() + "cnt_sink_interrupt." +
-                           std::to_string(::getpid()) + ".jsonl";
-  std::remove(path.c_str());
-  std::remove((path + ".partial").c_str());
+  const test::ScratchDir dir;
+  const std::string path = dir / "interrupt.jsonl";
   {
     JsonlSink sink(path);
     sink.write_header(/*fingerprint=*/1u, /*jobs=*/4);

@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -56,14 +55,13 @@ TEST(Report, BreakdownSkipsAllZeroCategories) {
 }
 
 TEST(Report, ResultsDirHonorsEnvOverride) {
-  const std::string dir = ::testing::TempDir() + "cnt_results_env_test." +
-                          std::to_string(::getpid());
+  const test::ScratchDir scratch;
+  const std::string dir = scratch / "results";
   ASSERT_EQ(setenv("CNT_RESULTS_DIR", dir.c_str(), 1), 0);
   const std::string got = results_dir();
   EXPECT_EQ(got, dir);
   EXPECT_TRUE(std::filesystem::exists(dir));
   unsetenv("CNT_RESULTS_DIR");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Report, MeanSavingSupportsAlternatePolicies) {

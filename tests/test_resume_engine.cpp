@@ -19,6 +19,7 @@
 #include "exec/journal.hpp"
 #include "exec/options.hpp"
 #include "exec/sweep.hpp"
+#include "scratch_dir.hpp"
 
 #if defined(__unix__)
 #include <sys/wait.h>
@@ -42,13 +43,6 @@ SweepSpec small_spec() {
   return spec;
 }
 
-std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  std::remove((path + ".partial").c_str());
-  return path;
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::stringstream ss;
@@ -66,11 +60,12 @@ std::string reference_run(const std::string& path) {
 // The acceptance-criteria test: kill after 2 of 4 jobs, resume, and the
 // journal must be byte-identical to the uninterrupted run.
 TEST(ResumeEngine, KillAndResumeIsByteIdentical) {
-  const std::string ref_path = temp_path("cnt_resume_ref.jsonl");
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "resume_ref.jsonl";
   const std::string ref = reference_run(ref_path);
   ASSERT_FALSE(ref.empty());
 
-  const std::string path = temp_path("cnt_resume_kill.jsonl");
+  const std::string path = dir / "resume_kill.jsonl";
   usize polls = 0;
   EngineOptions interrupted_opts;
   interrupted_opts.jobs = 1;
@@ -120,7 +115,8 @@ TEST(ResumeEngine, KillAndResumeIsByteIdentical) {
 
 // Resumed outcomes must aggregate identically to computed ones.
 TEST(ResumeEngine, ResumedOutcomesMatchComputedBitExactly) {
-  const std::string path = temp_path("cnt_resume_agg.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "resume_agg.jsonl";
   const auto fresh = ExperimentEngine(
       {.jobs = 1, .jsonl_path = path, .jsonl_timing = false})
       .run(small_spec());
@@ -148,10 +144,11 @@ TEST(ResumeEngine, ResumedOutcomesMatchComputedBitExactly) {
 }
 
 TEST(ResumeEngine, CorruptTailIsRecomputed) {
-  const std::string ref_path = temp_path("cnt_resume_corrupt_ref.jsonl");
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "resume_corrupt_ref.jsonl";
   const std::string ref = reference_run(ref_path);
 
-  const std::string path = temp_path("cnt_resume_corrupt.jsonl");
+  const std::string path = dir / "resume_corrupt.jsonl";
   (void)reference_run(path);
 
   // Fake a torn final write: move the journal back to .partial and chop
@@ -177,7 +174,8 @@ TEST(ResumeEngine, CorruptTailIsRecomputed) {
 }
 
 TEST(ResumeEngine, MidFileCorruptionRefusesToResume) {
-  const std::string path = temp_path("cnt_resume_midfile.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "resume_midfile.jsonl";
   (void)reference_run(path);
 
   // Damage a row in the MIDDLE of the journal (sealed rows follow it):
@@ -209,7 +207,8 @@ TEST(ResumeEngine, MidFileCorruptionRefusesToResume) {
 }
 
 TEST(ResumeEngine, MismatchedSweepFingerprintThrows) {
-  const std::string path = temp_path("cnt_resume_mismatch.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "resume_mismatch.jsonl";
   (void)reference_run(path);
 
   SweepSpec other = small_spec();
@@ -229,7 +228,8 @@ TEST(ResumeEngine, MismatchedSweepFingerprintThrows) {
 }
 
 TEST(ResumeEngine, ResumeWithoutJournalRunsFresh) {
-  const std::string path = temp_path("cnt_resume_fresh.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "resume_fresh.jsonl";
   EngineOptions opts;
   opts.jobs = 1;
   opts.jsonl_path = path;
@@ -244,10 +244,11 @@ TEST(ResumeEngine, ResumeWithoutJournalRunsFresh) {
 }
 
 TEST(ResumeEngine, ParallelResumeMatchesSerialResume) {
-  const std::string ref_path = temp_path("cnt_resume_par_ref.jsonl");
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "resume_par_ref.jsonl";
   const std::string ref = reference_run(ref_path);
 
-  const std::string path = temp_path("cnt_resume_par.jsonl");
+  const std::string path = dir / "resume_par.jsonl";
   usize polls = 0;
   EngineOptions kill_opts;
   kill_opts.jobs = 1;
@@ -330,7 +331,8 @@ TEST(Interrupt, SignalHandlerSetsAndResetsFlag) {
 }
 
 TEST(Interrupt, EngineStopsOnPendingInterrupt) {
-  const std::string path = temp_path("cnt_resume_signal.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "resume_signal.jsonl";
   request_interrupt();
   EngineOptions opts;
   opts.jobs = 1;
@@ -370,10 +372,11 @@ TEST(Interrupt, EngineStopsOnPendingInterrupt) {
 #endif
 #if defined(__unix__) && !defined(CNT_TSAN)
 TEST(ResumeEngine, HardKillThenResumeIsByteIdentical) {
-  const std::string ref_path = temp_path("cnt_resume_hard_ref.jsonl");
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "resume_hard_ref.jsonl";
   const std::string ref = reference_run(ref_path);
 
-  const std::string path = temp_path("cnt_resume_hard.jsonl");
+  const std::string path = dir / "resume_hard.jsonl";
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -437,10 +440,11 @@ std::string quarantined_run(const std::string& path, const char* spec) {
 }
 
 TEST(QuarantineJournal, ResumeReplaysCleanRowsAndClearsTheQRow) {
-  const std::string ref_path = temp_path("cnt_quar_ref.jsonl");
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "quar_ref.jsonl";
   const std::string ref = reference_run(ref_path);
 
-  const std::string path = temp_path("cnt_quar_resume.jsonl");
+  const std::string path = dir / "quar_resume.jsonl";
   const std::string chaos = quarantined_run(path, "engine.job=hang@2");
   ASSERT_NE(chaos, ref);
   EXPECT_NE(chaos.find("\"quarantined\":true"), std::string::npos);
@@ -465,13 +469,14 @@ TEST(QuarantineJournal, ResumeReplaysCleanRowsAndClearsTheQRow) {
 }
 
 TEST(QuarantineJournal, TornQRowTailIsTruncatedAndRecomputed) {
-  const std::string ref_path = temp_path("cnt_quar_torn_ref.jsonl");
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "quar_torn_ref.jsonl";
   const std::string ref = reference_run(ref_path);
 
   // Hang the LAST job so the Q-row is the journal's final row, then
   // fake a torn write by chopping into it: the crash signature resume
   // must truncate, not refuse.
-  const std::string path = temp_path("cnt_quar_torn.jsonl");
+  const std::string path = dir / "quar_torn.jsonl";
   std::string text = quarantined_run(path, "engine.job=hang@4");
   std::remove(path.c_str());
   text.resize(text.size() - 20);
@@ -492,7 +497,8 @@ TEST(QuarantineJournal, TornQRowTailIsTruncatedAndRecomputed) {
 }
 
 TEST(QuarantineJournal, CorruptQRowWithSealedRowsAfterItRefuses) {
-  const std::string path = temp_path("cnt_quar_corrupt.jsonl");
+  const test::ScratchDir dir;
+  const std::string path = dir / "quar_corrupt.jsonl";
   std::string text = quarantined_run(path, "engine.job=hang@2");
   std::remove(path.c_str());
 
@@ -532,14 +538,6 @@ TEST(Options, ResumePrecedenceChain) {
   EXPECT_FALSE(resume_from_env(true));
   setenv("CNT_RESUME", "garbage", 1);
   EXPECT_TRUE(resume_from_env(true));  // malformed -> fallback
-
-  const char* argv1[] = {"bench", "--resume"};
-  EXPECT_TRUE(resume_from_args(2, argv1));
-  const char* argv2[] = {"bench", "--resume", "--no-resume"};
-  EXPECT_FALSE(resume_from_args(3, argv2));  // last flag wins
-  setenv("CNT_RESUME", "1", 1);
-  const char* argv3[] = {"bench", "--other"};
-  EXPECT_TRUE(resume_from_args(2, argv3));  // env fallback
   unsetenv("CNT_RESUME");
 }
 
@@ -579,34 +577,14 @@ TEST(Options, JobTimeoutChain) {
 // falls through to the next source instead of wrapping.
 TEST(Options, U64ValuesPastTwoToTheSixtyFourFallBack) {
   constexpr u64 kMax = 18446744073709551615u;
-  const char* const kTooBig[] = {"18446744073709551616",
-                                 "99999999999999999999",
-                                 "184467440737095516150"};
-
-  unsetenv("CNT_SEED");
-  const char* max_flag[] = {"bench", "--seed", "18446744073709551615"};
-  EXPECT_EQ(u64_from_args(3, max_flag, "--seed", 5), kMax);
-  for (const char* big : kTooBig) {
-    const char* argv[] = {"bench", "--seed", big};
-    EXPECT_EQ(u64_from_args(3, argv, "--seed", 5), 5u) << big;
-    const std::string eq = std::string("--seed=") + big;
-    const char* argv_eq[] = {"bench", eq.c_str()};
-    EXPECT_EQ(u64_from_args(2, argv_eq, "--seed", 5), 5u) << big;
-  }
-
-  const char* no_flag[] = {"bench"};
-  setenv("CNT_SEED", "18446744073709551615", 1);
-  EXPECT_EQ(u64_from_args(1, no_flag, "--seed", 5), kMax);
   setenv("CNT_JOB_TIMEOUT_MS", "18446744073709551615", 1);
   EXPECT_EQ(job_timeout_from_env(7), kMax);
-  for (const char* big : kTooBig) {
-    setenv("CNT_SEED", big, 1);
-    EXPECT_EQ(u64_from_args(1, no_flag, "--seed", 5), 5u) << big;
+  for (const char* big : {"18446744073709551616", "99999999999999999999",
+                          "184467440737095516150"}) {
     setenv("CNT_JOB_TIMEOUT_MS", big, 1);
     EXPECT_EQ(job_timeout_from_env(7), 7u) << big;
     EXPECT_EQ(resolve_job_timeout(0), 0u) << big;
   }
-  unsetenv("CNT_SEED");
   unsetenv("CNT_JOB_TIMEOUT_MS");
 }
 

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 
+#include "common/error.hpp"
 #include "sim/report.hpp"
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -45,6 +45,28 @@ TEST(Simulate, OptionalPoliciesCanBeDisabled) {
   EXPECT_EQ(res.policies.size(), 2u);
   EXPECT_NE(res.find(kPolicyBaseline), nullptr);
   EXPECT_NE(res.find(kPolicyCnt), nullptr);
+}
+
+// The policy refuses what its predictor cannot run with, even when the
+// config never went through sim_config_from.
+TEST(Simulate, InvalidCntConfigIsRefusedNamingTheKey) {
+  const Workload w = build_workload("stream_copy", 0.05);
+  SimConfig zero_window;
+  zero_window.cnt.window = 0;
+  SimConfig negative_margin;
+  negative_margin.cnt.delta_t = -5.0;
+  for (const auto& [cfg, key] :
+       {std::pair{zero_window, "cnt.window"},
+        std::pair{negative_margin, "cnt.delta_t"}}) {
+    try {
+      (void)simulate(w, cfg);
+      ADD_FAILURE() << key << " accepted";
+    } catch (const ValueError& e) {
+      EXPECT_EQ(e.info().code, Errc::kRange) << key;
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Simulate, CacheStatsPopulated) {
@@ -132,15 +154,14 @@ TEST(Report, CsvWritten) {
   cfg.with_cmos = false;
   std::vector<SimResult> results;
   results.push_back(simulate(build_workload("stream_copy", 0.05), cfg));
-  const std::string path = ::testing::TempDir() + "savings_test." +
-                           std::to_string(::getpid()) + ".csv";
+  const test::ScratchDir dir;
+  const std::string path = dir / "savings.csv";
   write_savings_csv(results, path);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
   std::string header;
   std::getline(in, header);
   EXPECT_NE(header.find("workload"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

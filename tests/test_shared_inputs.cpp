@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -28,6 +26,7 @@
 #include "exec/sweep.hpp"
 #include "sim/stats_dump.hpp"
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt::exec {
 namespace {
@@ -269,12 +268,10 @@ TEST(SharedInputs, TransientFailureRetryReusesTheInput) {
 // --- the engine -------------------------------------------------------------
 
 TEST(SharedInputsEngine, JsonlIsByteIdenticalAtAnyWorkerCount) {
-  const std::string base = ::testing::TempDir() + "cnt_shared_inputs_" +
-                           std::to_string(::getpid()) + "_";
+  const test::ScratchDir dir;
   std::string first;
   for (const usize workers : {1u, 2u, 4u}) {
-    const std::string path = base + std::to_string(workers) + ".jsonl";
-    std::remove(path.c_str());
+    const std::string path = dir / (std::to_string(workers) + ".jsonl");
     const auto outcomes =
         ExperimentEngine(
             {.jobs = workers, .jsonl_path = path, .jsonl_timing = false})
@@ -323,14 +320,9 @@ TEST(SharedInputsEngine, UnbuildableInputFailsEveryJobOfItsGroup) {
 }
 
 TEST(SharedInputsEngine, RetriedJobJournalIsUnchanged) {
-  const std::string ref_path =
-      ::testing::TempDir() + "cnt_shared_inputs_retry_ref." +
-      std::to_string(::getpid()) + ".jsonl";
-  const std::string path =
-      ::testing::TempDir() + "cnt_shared_inputs_retry." +
-      std::to_string(::getpid()) + ".jsonl";
-  std::remove(ref_path.c_str());
-  std::remove(path.c_str());
+  const test::ScratchDir dir;
+  const std::string ref_path = dir / "retry_ref.jsonl";
+  const std::string path = dir / "retry.jsonl";
   (void)ExperimentEngine(
       {.jobs = 1, .jsonl_path = ref_path, .jsonl_timing = false})
       .run(shared_spec());

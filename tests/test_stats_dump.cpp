@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -75,15 +74,14 @@ TEST(StatsDump, MultiResultHasSchemaAndAll) {
 }
 
 TEST(StatsDump, FileWriting) {
-  const std::string path = ::testing::TempDir() + "cnt_stats_dump." +
-                           std::to_string(::getpid()) + ".json";
+  const test::ScratchDir dir;
+  const std::string path = dir / "stats.json";
   dump_json_file({one_result()}, path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
   expect_balanced(ss.str());
-  std::remove(path.c_str());
 }
 
 TEST(StatsDump, BadPathThrows) {

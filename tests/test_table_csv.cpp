@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +7,7 @@
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -48,9 +47,8 @@ TEST(Table, NumAndPct) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "cnt_csv_test." +
-                      std::to_string(::getpid()) + ".csv";
-  void TearDown() override { std::remove(path_.c_str()); }
+  test::ScratchDir dir_;
+  std::string path_ = dir_ / "csv_test.csv";
 
   [[nodiscard]] std::string slurp() const {
     std::ifstream in(path_);

@@ -13,6 +13,7 @@
 #include "sim/runner.hpp"
 #include "sim/stats_dump.hpp"
 #include "trace/workload_suite.hpp"
+#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -137,27 +138,23 @@ TEST(TraceIo, TextRejectsAddressOverflow) {
   }
 }
 
-std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
-}
-
 TEST(TraceIo, FileRoundTripBothFormats) {
   const Trace t = sample_trace();
+  const test::ScratchDir dir;
   for (const char* name : {"trace_io_test.txt", "trace_io_test.trs"}) {
-    const std::string path = temp_path(name);
+    const std::string path = dir / name;
     save_trace(t, path);
     const auto src = open_trace(path);
     expect_equal(t, materialize(*src));
     // A text source is named by its basename; a streamed one by its path.
     EXPECT_EQ(src->name(), path.ends_with(".txt") ? name : path);
-    std::remove(path.c_str());
   }
 }
 
 TEST(TraceIo, OtherExtensionsAreRefusedByBothFunctions) {
+  const test::ScratchDir dir;
   for (const char* name : {"trace_io_refused.bin", "trace_io_refused.trc"}) {
-    const std::string path = temp_path(name);
-    std::remove(path.c_str());
+    const std::string path = dir / name;
     try {
       save_trace(sample_trace(), path);
       ADD_FAILURE() << "save_trace accepted " << name;
@@ -181,7 +178,6 @@ TEST(TraceIo, OtherExtensionsAreRefusedByBothFunctions) {
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), Errc::kValue) << e.what();
     }
-    std::remove(path.c_str());
   }
 }
 
@@ -191,15 +187,15 @@ TEST(TraceIo, ReplayLedgersMatchAcrossFormats) {
   const Workload w = build_workload("zipf_kv", 0.05);
   std::string ledgers[2];
   int i = 0;
+  const test::ScratchDir dir;
   for (const char* name : {"trace_io_replay.txt", "trace_io_replay.trs"}) {
-    const std::string path = temp_path(name);
+    const std::string path = dir / name;
     save_trace(w.trace, path);
     SimResult res = simulate(*open_trace(path), {}, SimConfig{});
     res.workload = "replay";  // the source names differ by design
     std::ostringstream os;
     dump_json(res, os);
     ledgers[i++] = os.str();
-    std::remove(path.c_str());
   }
   EXPECT_FALSE(ledgers[0].empty());
   EXPECT_EQ(ledgers[0], ledgers[1]);

@@ -1,20 +1,20 @@
 // cnt-fuzz: deterministic in-process fuzzing of the ingest parsers.
 //
-// Usage:
-//   cnt-fuzz --corpus-root DIR [--target NAME|all] [--seed N] [--runs N]
-//            [--check-corpus]
+//   $ cnt-fuzz --corpus-root tests/fuzz/corpus --target all --seed 1
+//             --runs 2000 --check-corpus
 //
 // --corpus-root points at tests/fuzz/corpus (each target fuzzes its own
 // subdirectory). --check-corpus additionally asserts the corpus contract:
 // every seed_* entry is accepted and every bad_* entry is rejected with a
 // structured error. Exit status is 0 iff no wall violations (and, with
-// --check-corpus, no contract violations) were found.
+// --check-corpus, no contract violations) were found; 2 on a usage error.
 #include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cnt-fuzz/fuzzer.hpp"
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 
@@ -30,16 +30,6 @@ struct Options {
   u64 runs = 10000;
   bool check_corpus = false;
 };
-
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " --corpus-root DIR [--target NAME|all] [--seed N]"
-               " [--runs N] [--check-corpus]\n"
-               "targets:";
-  for (const FuzzTarget t : kAllTargets) std::cerr << ' ' << target_name(t);
-  std::cerr << '\n';
-  return 2;
-}
 
 /// Returns the number of contract violations (seed_* rejected or bad_*
 /// not structurally rejected).
@@ -70,10 +60,7 @@ int run(const Options& opts) {
     targets.assign(std::begin(kAllTargets), std::end(kAllTargets));
   } else {
     FuzzTarget t{};
-    if (!parse_target(opts.target, t)) {
-      std::cerr << "unknown target '" << opts.target << "'\n";
-      return 2;
-    }
+    (void)parse_target(opts.target, t);  // the parser checked the name
     targets.push_back(t);
   }
 
@@ -104,24 +91,19 @@ int run(const Options& opts) {
 
 int main(int argc, char** argv) {
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--corpus-root" && has_value) {
-      opts.corpus_root = argv[++i];
-    } else if (arg == "--target" && has_value) {
-      opts.target = argv[++i];
-    } else if (arg == "--seed" && has_value) {
-      opts.seed = std::stoull(argv[++i]);
-    } else if (arg == "--runs" && has_value) {
-      opts.runs = std::stoull(argv[++i]);
-    } else if (arg == "--check-corpus") {
-      opts.check_corpus = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (opts.corpus_root.empty()) return usage(argv[0]);
+  std::vector<std::string> names{"all"};
+  for (const FuzzTarget t : kAllTargets) names.emplace_back(target_name(t));
+  cli::Parser cli("cnt-fuzz", "Fuzz the ingest parsers from a seed corpus.");
+  cli.flag(&opts.corpus_root, "--corpus-root", "one subdirectory per target",
+           {.value = "DIR"})
+      .flag(&opts.target, "--target", "one target, or all (default)",
+            {.choices = names})
+      .flag(&opts.seed, "--seed", "mutation seed (default 1)")
+      .flag(&opts.runs, "--runs", "mutants per target (default 10000)")
+      .flag(&opts.check_corpus, "--check-corpus",
+            "also check seed_* accepted, bad_* rejected");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  if (opts.corpus_root.empty()) return cli.usage_error("missing --corpus-root");
   try {
     return run(opts);
   } catch (const std::exception& e) {

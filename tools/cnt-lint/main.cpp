@@ -1,116 +1,60 @@
 // cnt-lint: in-tree determinism/invariant static analyzer.
 //
-//   cnt-lint [options] <path>...
+//   $ cnt-lint src bench examples tests tools --exclude=tests/lint/fixtures
+//   $ cnt-lint --format=json --rule=R6 src
+//   $ cnt-lint --dump-include-graph=dot src > graph.dot
 //
-//   --format=text|json             report format (default text)
-//   --rule=RN                      run only rule RN (repeatable; default all)
-//   --exclude=SUBSTR               skip paths containing SUBSTR (repeatable)
-//   --list-rules                   print the rule catalog and exit
-//   --report-unused-suppressions   audit mode: report `// cnt-lint:` tags
-//                                  that silence nothing (rule id U0);
-//                                  incompatible with --rule
-//   --dump-include-graph=dot       print the module-level include graph as
-//                                  Graphviz dot; exits 1 if the graph has
-//                                  a cycle
+// --report-unused-suppressions is the audit mode: it reports
+// `// cnt-lint:` tags that silence nothing (rule id U0), and needs every
+// rule enabled. --dump-include-graph=dot exits 1 if the module-level
+// include graph has a cycle.
 //
 // Exit codes: 0 clean, 1 findings/cycle (or unreadable inputs), 2 usage
 // error. Rule catalog and suppression syntax: docs/static_analysis.md.
 #include <iostream>
 #include <string>
-#include <string_view>
+#include <vector>
 
+#include "common/cli.hpp"
 #include "driver.hpp"
-
-namespace {
-
-void usage(std::ostream& os) {
-  os << "usage: cnt-lint [--format=text|json] [--rule=RN]... "
-        "[--exclude=SUBSTR]... [--list-rules] "
-        "[--report-unused-suppressions] [--dump-include-graph=dot] "
-        "<path>...\n";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   cnt::lint::LintOptions opts;
-  bool json = false;
-  bool dump_graph = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      return 0;
+  std::string format = "text";
+  std::string graph_format;
+  bool list_rules = false;
+  std::vector<std::string> rule_ids;
+  for (const auto& r : cnt::lint::rule_catalog()) rule_ids.emplace_back(r.id);
+  cnt::cli::Parser cli("cnt-lint", "Check the tree for determinism and "
+                                   "invariant violations.");
+  cli.positional(&opts.paths, "path", "files or directories",
+                 {.required = true})
+      .flag(&format, "--format", "report format (default text)",
+            {.choices = {"text", "json"}})
+      .flag(&opts.rules, "--rule", "run only this rule (repeatable)",
+            {.choices = rule_ids})
+      .flag(&opts.excludes, "--exclude", "skip paths containing SUBSTR",
+            {.value = "SUBSTR"})
+      .flag(&list_rules, "--list-rules", "print the rule catalog and exit",
+            {.standalone = true})
+      .flag(&opts.report_unused, "--report-unused-suppressions",
+            "report suppressions that silence nothing")
+      .flag(&graph_format, "--dump-include-graph",
+            "print the module include graph", {.choices = {"dot"}});
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  if (list_rules) {
+    for (const auto& r : cnt::lint::rule_catalog()) {
+      std::cout << r.id << "  " << r.name << "  (suppress: // cnt-lint: "
+                << r.suppression << ")\n    " << r.summary << "\n";
     }
-    if (arg == "--list-rules") {
-      for (const auto& r : cnt::lint::rule_catalog()) {
-        std::cout << r.id << "  " << r.name << "  (suppress: // cnt-lint: "
-                  << r.suppression << ")\n    " << r.summary << "\n";
-      }
-      return 0;
-    }
-    if (arg == "--report-unused-suppressions") {
-      opts.report_unused = true;
-      continue;
-    }
-    if (arg.rfind("--dump-include-graph=", 0) == 0) {
-      const std::string_view fmt = arg.substr(21);
-      if (fmt != "dot") {
-        std::cerr << "cnt-lint: unknown graph format '" << fmt
-                  << "' (only 'dot' is supported)\n";
-        return 2;
-      }
-      dump_graph = true;
-      continue;
-    }
-    if (arg.rfind("--format=", 0) == 0) {
-      const std::string_view fmt = arg.substr(9);
-      if (fmt == "json") {
-        json = true;
-      } else if (fmt == "text") {
-        json = false;
-      } else {
-        std::cerr << "cnt-lint: unknown format '" << fmt << "'\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg.rfind("--rule=", 0) == 0) {
-      opts.rules.emplace_back(arg.substr(7));
-      continue;
-    }
-    if (arg.rfind("--exclude=", 0) == 0) {
-      opts.excludes.emplace_back(arg.substr(10));
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::cerr << "cnt-lint: unknown option '" << arg << "'\n";
-      usage(std::cerr);
-      return 2;
-    }
-    opts.paths.emplace_back(arg);
-  }
-  if (opts.paths.empty()) {
-    usage(std::cerr);
-    return 2;
+    return 0;
   }
   if (opts.report_unused && !opts.rules.empty()) {
-    std::cerr << "cnt-lint: --report-unused-suppressions needs every rule "
-                 "enabled; drop --rule\n";
-    return 2;
-  }
-  for (const auto& r : opts.rules) {
-    bool known = false;
-    for (const auto& info : cnt::lint::rule_catalog()) {
-      if (r == info.id) known = true;
-    }
-    if (!known) {
-      std::cerr << "cnt-lint: unknown rule '" << r << "' (see --list-rules)\n";
-      return 2;
-    }
+    return cli.usage_error(
+        "--report-unused-suppressions needs every rule enabled; drop --rule");
   }
 
-  if (dump_graph) {
+  if (!graph_format.empty()) {
     const cnt::lint::IncludeGraph graph =
         cnt::lint::build_include_graph(opts);
     cnt::lint::write_dot(graph, std::cout);
@@ -127,7 +71,7 @@ int main(int argc, char** argv) {
   }
 
   const cnt::lint::LintReport report = cnt::lint::run_lint(opts);
-  if (json) {
+  if (format == "json") {
     cnt::lint::write_json(report, std::cout);
   } else {
     cnt::lint::write_text(report, std::cout);

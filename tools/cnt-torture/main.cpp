@@ -21,13 +21,13 @@
 // instrumented reference run ($CNT_FAILPOINT_REPORT), so --seeds N
 // probes N deterministic trigger points per case.
 //
-//   cnt-torture [--out DIR] [--seeds N] [--family crash|chaos]
-//               [--case NAME] [--keep] [--list]
+//   $ cnt-torture --seeds 3 --out /tmp/tw
+//   $ cnt-torture --family chaos --keep
+//   $ cnt-torture --case journal.write --seeds 2
 //
 // --case takes a crash site or a chaos case name; --list prints the case
 // catalog. Exit 0 when every case holds, 1 on any violation (a failed
 // reference run included), 2 on usage errors. Unix-only (fork/waitpid).
-#include <charconv>
 #include <csignal>
 #include <filesystem>
 #include <iostream>
@@ -40,6 +40,7 @@
 
 #include "child_harness.hpp"
 #include "common/cancel.hpp"
+#include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "exec/engine.hpp"
 #include "sim/runner.hpp"
@@ -55,18 +56,6 @@ using harness::ChildStatus;
 using harness::slurp;
 
 namespace {
-
-int usage() {
-  std::cerr << "usage: cnt-torture [--out DIR] [--seeds N]"
-               " [--family crash|chaos] [--case NAME] [--keep] [--list]\n"
-               "  --out DIR      working directory (default: cnt_torture_out)\n"
-               "  --seeds N      trigger points probed per case (default 1)\n"
-               "  --family F     run only the crash or the chaos family\n"
-               "  --case NAME    run only one crash site or chaos case\n"
-               "  --keep         keep per-case directories for inspection\n"
-               "  --list         print the case catalog and exit\n";
-  return 2;
-}
 
 // ---------------------------------------------------------------------------
 // Child-side payloads. Each writes its artifact under `dir` and returns
@@ -450,16 +439,6 @@ std::string run_case(const Case& c, const std::string& spec,
 
 #endif  // defined(__unix__)
 
-/// A whole number >= 1: digits only, no sign, no overflow.
-bool parse_count(std::string_view text, u64& out) {
-  u64 v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end || v == 0) return false;
-  out = v;
-  return true;
-}
-
 struct Options {
   std::string out = "cnt_torture_out";
   u64 seeds = 1;
@@ -477,40 +456,16 @@ int main(int argc, char** argv) {
   return 2;
 #else
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--keep") {
-      opt.keep = true;
-      continue;
-    }
-    if (arg == "--list") {
-      opt.list = true;
-      continue;
-    }
-    if (i + 1 >= argc || (arg != "--out" && arg != "--seeds" &&
-                          arg != "--family" && arg != "--case")) {
-      std::cerr << "cnt-torture: unknown option or missing value: " << arg
-                << "\n";
-      return usage();
-    }
-    const std::string_view val = argv[++i];
-    if (arg == "--out") {
-      opt.out = val;
-    } else if (arg == "--family") {
-      opt.family = val;
-    } else if (arg == "--case") {
-      opt.only = val;
-    } else if (!parse_count(val, opt.seeds)) {
-      std::cerr << "cnt-torture: --seeds wants a whole number >= 1, not '"
-                << val << "'\n";
-      return 2;
-    }
-  }
-  if (!opt.family.empty() && opt.family != "crash" && opt.family != "chaos") {
-    std::cerr << "cnt-torture: unknown family '" << opt.family
-              << "' (crash or chaos)\n";
-    return 2;
-  }
+  cli::Parser cli("cnt-torture", "Run the crash and chaos torture wall.");
+  cli.flag(&opt.out, "--out", "working directory", {.value = "DIR"})
+      .flag(&opt.seeds, "--seeds", "trigger points per case (default 1)",
+            {.min = 1})
+      .flag(&opt.family, "--family", "run only one family",
+            {.choices = {"crash", "chaos"}})
+      .flag(&opt.only, "--case", "run only one case", {.value = "NAME"})
+      .flag(&opt.keep, "--keep", "keep per-case directories")
+      .flag(&opt.list, "--list", "print the case catalog and exit");
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
   std::vector<Case> cases = catalog();
   std::erase_if(cases, [&](const Case& c) {
     return (!opt.family.empty() && c.family != opt.family) ||
