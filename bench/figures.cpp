@@ -651,7 +651,9 @@ std::vector<Figure> build_registry() {
       // E10 -- system-level view: split L1 + unified L2 + DRAM, with
       // adaptive encoding enabled at no level, L1 only, or L1+L2. Shows
       // where the paper's D-Cache focus sits in the whole-hierarchy energy
-      // picture. Plain figure: run_hierarchy() is not an engine job.
+      // picture. One simulate_hierarchy() replay with both policies at
+      // every level serves all three placements. Plain figure: a
+      // hierarchy run is not an engine job.
       {.name = "fig_hierarchy", .id = "E10",
        .title = "hierarchy energy with CNT-Cache at different levels",
        .default_scale = 0.5,
@@ -662,6 +664,15 @@ std::vector<Figure> build_registry() {
        .report = [](const Context& ctx, auto&, Report& rep) {
          const Workload code = build_workload("ifetch", ctx.scale);
          const Workload data = build_workload("zipf_kv", ctx.scale);
+         const Workload mixed = interleave(code, data);
+         HierarchyRunConfig cfg;
+         // L2 lines see little reuse (miss traffic only), so speculative
+         // read-optimized fills rarely amortize there; fill for the cheap
+         // write.
+         cfg.l2_cnt.fill_policy = FillDirectionPolicy::kMinWriteEnergy;
+         VectorTraceSource source(mixed.trace);
+         const HierarchySimResult run =
+             simulate_hierarchy(source, mixed.init, hierarchy_levels(cfg));
          struct Placement {
            const char* name;
            bool l1, l2;
@@ -672,14 +683,9 @@ std::vector<Figure> build_registry() {
               {Placement{"baseline (no encoding)", false, false},
                Placement{"CNT-Cache at L1", true, false},
                Placement{"CNT-Cache at L1+L2", true, true}}) {
-           HierarchyRunConfig cfg;
            cfg.cnt_at_l1i = cfg.cnt_at_l1d = at.l1;
            cfg.cnt_at_l2 = at.l2;
-           // L2 lines see little reuse (miss traffic only), so
-           // speculative read-optimized fills rarely amortize there;
-           // fill for the cheap write.
-           cfg.l2_cnt.fill_policy = FillDirectionPolicy::kMinWriteEnergy;
-           const HierarchyRunResult res = run_hierarchy(cfg, code, data);
+           const HierarchyRunResult res = placement_view(run, cfg);
            const double caches = res.cache_total().in_joules();
            if (base_caches == 0) base_caches = caches;
            dram = res.dram_energy;

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   try {
-    cfg.cnt.validate();
+    cfg.cnt.validate(cfg.cache.line_bytes);
     std::cout << "CNT-Cache D-Cache suite\n"
               << "  cache   : " << cfg.cache.size_bytes / 1024 << " KiB, "
               << cfg.cache.ways << "-way, " << cfg.cache.line_bytes

@@ -21,13 +21,18 @@ int main(int argc, char** argv) {
   const Workload data = build_workload("zipf_kv", scale);
   const Workload code = build_workload("ifetch", scale);
 
-  // Run twice: everything baseline, then CNT-Cache at the L1s.
+  // Two placements: everything baseline, then CNT-Cache at the L1s.
   HierarchyRunConfig base_cfg;
   base_cfg.cnt_at_l1i = base_cfg.cnt_at_l1d = base_cfg.cnt_at_l2 = false;
   HierarchyRunConfig cnt_cfg;  // defaults: CNT at L1I + L1D
 
-  const HierarchyRunResult base = run_hierarchy(base_cfg, code, data);
-  const HierarchyRunResult cnt = run_hierarchy(cnt_cfg, code, data);
+  // One replay with both policies at every level serves both placements.
+  const Workload mixed = interleave(code, data);
+  VectorTraceSource source(mixed.trace);
+  const HierarchySimResult run =
+      simulate_hierarchy(source, mixed.init, hierarchy_levels(cnt_cfg));
+  const HierarchyRunResult base = placement_view(run, base_cfg);
+  const HierarchyRunResult cnt = placement_view(run, cnt_cfg);
 
   Table t({"level", "accesses", "hit%", "baseline", "CNT-Cache", "saving"});
   for (const char* level : {"L1I", "L1D", "L2"}) {

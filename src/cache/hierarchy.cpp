@@ -54,6 +54,8 @@ void Hierarchy::access(const MemAccess& a) {
   }
 }
 
+// The hierarchy replay loop (sim/runner.cpp hands it one batch per call).
+// cnt-hot
 void Hierarchy::run(std::span<const MemAccess> accesses) {
   for (const auto& a : accesses) access(a);
 }

@@ -29,6 +29,13 @@ class MemoryLevel {
   virtual void write_word(u64 addr, u64 value, u8 size) = 0;
 };
 
+/// The traffic a MainMemory absorbed: what reached DRAM.
+struct MemoryTraffic {
+  u64 line_reads = 0;
+  u64 line_writes = 0;
+  u64 word_writes = 0;
+};
+
 /// Sparse memory image. Unwritten bytes read as zero. Tracks traffic
 /// counters so experiments can report line fills / writebacks reaching DRAM.
 ///
@@ -57,7 +64,7 @@ class MainMemory final : public MemoryLevel {
   // granule probe + copy straight into its miss path.
   void read_line(u64 line_addr, std::span<u8> out) override {
     assert(line_addr % out.size() == 0);
-    ++line_reads_;
+    ++traffic_.line_reads;
     u64 addr = line_addr;
     usize off = 0;
     while (off < out.size()) {
@@ -74,12 +81,12 @@ class MainMemory final : public MemoryLevel {
   }
   void write_line(u64 line_addr, std::span<const u8> data) override {
     assert(line_addr % data.size() == 0);
-    ++line_writes_;
+    ++traffic_.line_writes;
     copy_in(line_addr, data.data(), data.size());
   }
   void write_word(u64 addr, u64 value, u8 size) override {
     assert(size <= 8 && addr % size == 0);
-    ++word_writes_;
+    ++traffic_.word_writes;
     u8* g = granule(addr);
     const usize g_off = addr % kGranuleBytes;
     // Natural alignment guarantees the word does not straddle a granule.
@@ -104,9 +111,9 @@ class MainMemory final : public MemoryLevel {
     }
   }
 
-  [[nodiscard]] u64 line_reads() const noexcept { return line_reads_; }
-  [[nodiscard]] u64 line_writes() const noexcept { return line_writes_; }
-  [[nodiscard]] u64 word_writes() const noexcept { return word_writes_; }
+  [[nodiscard]] const MemoryTraffic& traffic() const noexcept {
+    return traffic_;
+  }
   /// Granules allocated so far (each kGranuleBytes of storage).
   [[nodiscard]] usize resident_granules() const noexcept { return granules_; }
 
@@ -159,9 +166,7 @@ class MainMemory final : public MemoryLevel {
   u64 cached_granule_no_ = ~u64{0};
   u8* cached_granule_ = nullptr;
 
-  u64 line_reads_ = 0;
-  u64 line_writes_ = 0;
-  u64 word_writes_ = 0;
+  MemoryTraffic traffic_;
 };
 
 }  // namespace cnt

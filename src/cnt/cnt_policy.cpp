@@ -10,12 +10,13 @@
 
 namespace cnt {
 
-void CntConfig::validate() const {
+void CntConfig::validate(usize line_bytes) const {
   constexpr double kMax = std::numeric_limits<double>::max();
   require_range("cnt.window", static_cast<double>(window), 1.0, kMax,
                 "a window of at least 1 access");
   require_range("cnt.delta_t", delta_t, 0.0, kMax,
                 "a finite hysteresis margin >= 0");
+  (void)PartitionScheme(line_bytes, partitions);  // refuses a bad K
 }
 
 const char* to_string(FillDirectionPolicy p) noexcept {
@@ -36,8 +37,8 @@ namespace {
 
 /// `cfg`, once it has passed validate(): the first member initializer
 /// already derives the H&D width from the window.
-const CntConfig& validated(const CntConfig& cfg) {
-  cfg.validate();
+const CntConfig& validated(const CntConfig& cfg, usize line_bytes) {
+  cfg.validate(line_bytes);
   return cfg;
 }
 
@@ -76,9 +77,11 @@ double predictor_write_weight(const CntConfig& cfg, usize line_bytes) {
 
 CntPolicy::CntPolicy(std::string name, const TechParams& tech,
                      ArrayGeometry geom, const CntConfig& cfg)
-    : EnergyPolicyBase(std::move(name), tech,
-                       with_meta(geom, meta_width(validated(cfg), geom.ways)),
-                       cfg.write_granularity),
+    : EnergyPolicyBase(
+          std::move(name), tech,
+          with_meta(geom,
+                    meta_width(validated(cfg, geom.line_bytes), geom.ways)),
+          cfg.write_granularity),
       cfg_(cfg),
       predictor_(tech.cell, PartitionScheme(geom.line_bytes, cfg.partitions),
                  cfg.window, cfg.delta_t,

@@ -72,10 +72,13 @@ struct CntConfig {
   /// the line non-zero materializes it with a full-line write.
   bool zero_line_opt = false;
 
-  /// Reject knobs the predictor cannot run with: a zero window (W) and a
-  /// negative or non-finite hysteresis margin. Throws ValueError
-  /// (Errc::kRange) naming the INI key (cnt.window, cnt.delta_t).
-  void validate() const;
+  /// Reject knobs the predictor cannot run with on `line_bytes`-byte
+  /// lines: a zero window (W), a negative or non-finite hysteresis margin,
+  /// and a K PartitionScheme refuses. Throws ValueError (Errc::kRange)
+  /// naming the INI key (cnt.window, cnt.delta_t, cnt.partitions). The INI
+  /// reader and the CntPolicy constructor both call it, so a bad K fails
+  /// before any output.
+  void validate(usize line_bytes) const;
 };
 
 struct CntPolicyStats {

@@ -1,6 +1,8 @@
 #include "cnt/encoding.hpp"
 
-#include <stdexcept>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace cnt {
 
@@ -10,16 +12,15 @@ namespace cnt {
 
 PartitionScheme::PartitionScheme(usize line_bytes, usize partitions)
     : line_bytes_(line_bytes), k_(partitions) {
-  if (k_ == 0 || k_ > 64) {
-    throw std::invalid_argument("PartitionScheme: K must be in [1, 64]");
+  // K direction bits in a u64 mask, each over a whole-byte partition.
+  if (k_ == 0 || k_ > 64 || line_bytes_ % k_ != 0) {
+    throw ValueError(Errc::kRange,
+                     "key 'cnt.partitions' has out-of-range value '" +
+                         std::to_string(k_) + "' for a " +
+                         std::to_string(line_bytes_) + " B line")
+        .hint("use a K in [1, 64] that divides the line's byte count");
   }
-  const usize line_bits = line_bytes_ * 8;
-  if (line_bits % k_ != 0 || (line_bits / k_) % 8 != 0) {
-    throw std::invalid_argument(
-        "PartitionScheme: K must divide the line into byte-aligned "
-        "partitions");
-  }
-  part_bits_ = line_bits / k_;
+  part_bits_ = line_bytes_ * 8 / k_;
 }
 
 std::vector<u8> encode_line(const PartitionScheme& ps,

@@ -31,9 +31,10 @@ namespace cnt {
 /// Static description of a line's partitioning.
 class PartitionScheme {
  public:
-  /// Precondition: K >= 1, K <= 64, and K divides line_bytes*8 into
-  /// byte-aligned partitions (L/K % 8 == 0) so the hardware mux boundaries
-  /// fall on byte lanes.
+  /// K must be in [1, 64] and divide line_bytes, so the partitions are
+  /// byte-aligned and the hardware mux boundaries fall on byte lanes.
+  /// Otherwise throws ValueError (Errc::kRange) naming cnt.partitions and
+  /// the line size: the one place K is checked.
   PartitionScheme(usize line_bytes, usize partitions);
 
   [[nodiscard]] usize partitions() const noexcept { return k_; }

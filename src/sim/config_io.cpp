@@ -129,7 +129,7 @@ SimConfig sim_config_from(const Config& cfg) {
 
   // Fail fast on invalid geometry, CNT and fault knobs.
   sim.cache.validate();
-  sim.cnt.validate();
+  sim.cnt.validate(sim.cache.line_bytes);
   sim.fault.validate();
   return sim;
 }

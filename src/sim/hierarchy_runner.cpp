@@ -3,37 +3,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "cnt/baseline_policies.hpp"
-#include "common/cancel.hpp"
-
 namespace cnt {
-
-namespace {
-
-// Inner replay loop; Hierarchy::access routes IFetch to L1I internally.
-// The caller owns the batch buffer, so this stays allocation-free.
-// cnt-hot
-void replay_batch(Hierarchy& h, std::span<const MemAccess> batch) {
-  for (const MemAccess& a : batch) h.access(a);
-}
-
-}  // namespace
-
-Trace interleave(const Trace& code, const Trace& data, usize code_per_data) {
-  Trace out("interleaved:" + code.name() + "+" + data.name());
-  out.reserve(code.size() + data.size());
-  usize ci = 0, di = 0;
-  while (ci < code.size() || di < data.size()) {
-    for (usize k = 0; k < code_per_data && ci < code.size(); ++k) {
-      out.push(code[ci++]);
-    }
-    if (di < data.size()) out.push(data[di++]);
-    if (ci >= code.size()) {
-      while (di < data.size()) out.push(data[di++]);
-    }
-  }
-  return out;
-}
 
 Energy HierarchyRunResult::cache_total() const {
   Energy total{};
@@ -49,62 +19,45 @@ const LevelResult& HierarchyRunResult::level(std::string_view name) const {
                           std::string(name));
 }
 
-HierarchyRunResult run_hierarchy(const HierarchyRunConfig& cfg,
-                                 TraceSource& source,
-                                 std::span<const MemorySegment> init) {
-  MainMemory memory;
-  memory.load(init);
-  Hierarchy h(cfg.hierarchy, memory);
-
-  std::vector<std::unique_ptr<EnergyPolicyBase>> policies;
-  auto attach = [&](Cache& cache, bool adaptive,
-                    const CntConfig& cnt_cfg) -> EnergyPolicyBase* {
-    const ArrayGeometry geom = geometry_of(cache.config());
-    std::unique_ptr<EnergyPolicyBase> p;
-    if (adaptive) {
-      p = std::make_unique<CntPolicy>("cnt", cfg.tech, geom, cnt_cfg);
-    } else {
-      p = std::make_unique<PlainPolicy>("base", cfg.tech, geom);
-    }
-    cache.add_sink(*p);
-    policies.push_back(std::move(p));
-    return policies.back().get();
-  };
-
-  auto* pi = attach(h.l1i(), cfg.cnt_at_l1i, cfg.l1_cnt);
-  auto* pd = attach(h.l1d(), cfg.cnt_at_l1d, cfg.l1_cnt);
-  auto* p2 = attach(h.l2(), cfg.cnt_at_l2, cfg.l2_cnt);
-
-  // Batched pull loop: O(batch + chunk) resident regardless of stream
-  // length. Hierarchy::access routes IFetch to L1I internally.
-  source.reset();
-  std::vector<MemAccess> batch(4096);
-  for (;;) {
-    // Cooperative cancellation, once per batch (docs/robustness.md).
-    cancel::throw_if_cancelled("sim.replay");
-    const usize got = source.next(batch);
-    if (got == 0) break;
-    replay_batch(h, std::span<const MemAccess>(batch.data(), got));
+std::vector<LevelSetup> hierarchy_levels(const HierarchyRunConfig& cfg) {
+  const HierarchyConfig& h = cfg.hierarchy;
+  const CacheConfig* caches[] = {&h.l1i, &h.l1d, &h.l2};
+  std::vector<LevelSetup> levels(h.enable_l2 ? 3 : 2);
+  for (usize i = 0; i < levels.size(); ++i) {
+    SimConfig& c = levels[i].cfg;
+    c.cache = *caches[i];
+    c.tech = cfg.tech;
+    c.cnt = i == 2 ? cfg.l2_cnt : cfg.l1_cnt;
+    levels[i].policies = {.baseline = true, .cnt = true};
   }
+  return levels;
+}
 
+HierarchyRunResult placement_view(const HierarchySimResult& run,
+                                  const HierarchyRunConfig& cfg) {
+  constexpr const char* kNames[] = {"L1I", "L1D", "L2"};
+  const bool adaptive[] = {cfg.cnt_at_l1i, cfg.cnt_at_l1d, cfg.cnt_at_l2};
   HierarchyRunResult res;
-  res.levels.push_back(
-      {"L1I", cfg.cnt_at_l1i, pi->ledger(), h.l1i().stats()});
-  res.levels.push_back(
-      {"L1D", cfg.cnt_at_l1d, pd->ledger(), h.l1d().stats()});
-  res.levels.push_back({"L2", cfg.cnt_at_l2, p2->ledger(), h.l2().stats()});
-  res.dram_energy = cfg.dram.traffic_energy(memory);
+  for (usize i = 0; i < run.levels.size(); ++i) {
+    const SimResult& l = run.levels[i];
+    const auto& placed = l.policy(adaptive[i] ? kPolicyCnt : kPolicyBaseline);
+    res.levels.push_back(
+        {kNames[i], adaptive[i], placed.ledger, l.cache_stats});
+  }
+  res.dram_energy = cfg.dram.traffic_energy(run.memory);
   return res;
 }
 
 HierarchyRunResult run_hierarchy(const HierarchyRunConfig& cfg,
-                                 const Workload& code, const Workload& data,
-                                 usize code_per_data) {
-  VectorTraceSource source(
-      interleave(code.trace, data.trace, code_per_data));
-  std::vector<MemorySegment> init = code.init;
-  init.insert(init.end(), data.init.begin(), data.init.end());
-  return run_hierarchy(cfg, source, init);
+                                 TraceSource& source,
+                                 std::span<const MemorySegment> init) {
+  // One policy per level: the placed one.
+  const bool adaptive[] = {cfg.cnt_at_l1i, cfg.cnt_at_l1d, cfg.cnt_at_l2};
+  std::vector<LevelSetup> levels = hierarchy_levels(cfg);
+  for (usize i = 0; i < levels.size(); ++i) {
+    levels[i].policies = {.baseline = !adaptive[i], .cnt = adaptive[i]};
+  }
+  return placement_view(simulate_hierarchy(source, init, levels), cfg);
 }
 
 }  // namespace cnt

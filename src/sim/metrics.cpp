@@ -18,10 +18,10 @@ Energy leakage_energy(double leakage_watts, double seconds) noexcept {
   return Energy::joules(leakage_watts * seconds);
 }
 
-Energy DramParams::traffic_energy(const MainMemory& mem) const noexcept {
-  return static_cast<double>(mem.line_reads()) * per_line_read +
-         static_cast<double>(mem.line_writes()) * per_line_write +
-         static_cast<double>(mem.word_writes()) * per_word_write;
+Energy DramParams::traffic_energy(const MemoryTraffic& t) const noexcept {
+  return static_cast<double>(t.line_reads) * per_line_read +
+         static_cast<double>(t.line_writes) * per_line_write +
+         static_cast<double>(t.word_writes) * per_word_write;
 }
 
 }  // namespace cnt

@@ -43,7 +43,10 @@ struct DramParams {
   Energy per_word_write = nJ(2.5);  ///< write-through / write-around words
 
   /// Total DRAM dynamic energy for the traffic a MainMemory absorbed.
-  [[nodiscard]] Energy traffic_energy(const MainMemory& mem) const noexcept;
+  [[nodiscard]] Energy traffic_energy(const MemoryTraffic& t) const noexcept;
+  [[nodiscard]] Energy traffic_energy(const MainMemory& mem) const noexcept {
+    return traffic_energy(mem.traffic());
+  }
 };
 
 }  // namespace cnt

@@ -1,10 +1,12 @@
-// Experiment runner: replay one workload through a functional cache with
-// the full set of energy policies attached, and collect per-policy ledgers.
+// Experiment runner: replay one workload through a functional cache -- or
+// a split-L1 + L2 hierarchy -- with a set of energy policies attached to
+// every cache, and collect per-policy ledgers.
 //
 // Because the policies are pure observers, a single functional run yields
 // exactly comparable energy numbers for every policy (same hits, same
 // evictions, same data) -- the experimental-control property the paper's
-// comparison needs.
+// comparison needs. Both entries wire each cache the same way and pull
+// the stream through the same batched loop.
 #pragma once
 
 #include <optional>
@@ -15,6 +17,7 @@
 
 #include "cache/cache_config.hpp"
 #include "cache/cache_stats.hpp"
+#include "cache/main_memory.hpp"
 #include "cnt/cnt_policy.hpp"
 #include "energy/energy_ledger.hpp"
 #include "energy/tech_params.hpp"
@@ -49,6 +52,16 @@ struct SimConfig {
   SimConfig();
 };
 
+/// The policies a cache carries. They attach and report in the order of
+/// the fields, which is the report order of every result.
+struct PolicySet {
+  bool cmos = false;        ///< kPolicyCmos
+  bool baseline = false;    ///< kPolicyBaseline
+  bool static_inv = false;  ///< kPolicyStatic
+  bool cnt = false;         ///< kPolicyCnt
+  bool ideal = false;       ///< kPolicyIdeal
+};
+
 struct PolicyResult {
   std::string name;
   EnergyLedger ledger;
@@ -68,8 +81,12 @@ struct SimResult {
   FaultStats fault_stats;   ///< campaign tallies (valid when has_fault)
 
   [[nodiscard]] const PolicyResult* find(std::string_view name) const;
+  /// The named policy; throws std::out_of_range if absent.
+  [[nodiscard]] const PolicyResult& policy(std::string_view name) const;
   /// Energy of a policy; throws std::out_of_range if absent.
-  [[nodiscard]] Energy energy(std::string_view name) const;
+  [[nodiscard]] Energy energy(std::string_view name) const {
+    return policy(name).total();
+  }
   /// Fractional dynamic-energy saving of `opt` relative to `base`
   /// (0.222 = 22.2% lower).
   [[nodiscard]] double saving(std::string_view opt,
@@ -89,6 +106,29 @@ struct SimResult {
 
 /// Run one materialized workload (wraps its trace in a VectorTraceSource).
 [[nodiscard]] SimResult simulate(const Workload& w, const SimConfig& cfg);
+
+/// One cache of a hierarchy: its geometry (`cfg.cache`) and parameters,
+/// and the policies it carries (`cfg.with_*` are not read).
+struct LevelSetup {
+  SimConfig cfg;
+  PolicySet policies;
+};
+
+struct HierarchySimResult {
+  std::vector<SimResult> levels;  ///< L1I, L1D, then L2 when present
+  MemoryTraffic memory;           ///< what reached the backing store
+};
+
+/// Multi-level entry: replay an already-interleaved stream through a
+/// split L1 (`levels` 0 and 1: L1I, L1D) over an optional unified L2
+/// (`levels` 2), every level wired as simulate() wires its cache. Each
+/// level's SimResult holds its cache stats and policy ledgers; no trace
+/// stats are fed. Fault campaigns are single-cache only, so a level with
+/// one enabled is refused (std::invalid_argument), as is a level count
+/// other than two or three.
+[[nodiscard]] HierarchySimResult simulate_hierarchy(
+    TraceSource& source, std::span<const MemorySegment> init,
+    std::span<const LevelSetup> levels);
 
 /// Run the whole default suite. `scale` shrinks the workloads for quick
 /// runs (1.0 = full size); `seed_offset` perturbs the generators for

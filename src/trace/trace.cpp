@@ -59,6 +59,32 @@ TraceStats Trace::stats() const {
   return acc.finish();
 }
 
+Trace interleave(const Trace& code, const Trace& data, usize code_per_data) {
+  Trace out("interleaved:" + code.name() + "+" + data.name());
+  out.reserve(code.size() + data.size());
+  usize ci = 0, di = 0;
+  while (ci < code.size() || di < data.size()) {
+    // Once the data runs out, the rest of the code follows unbroken.
+    const bool data_left = di < data.size();
+    for (usize k = 0; ci < code.size() && (k < code_per_data || !data_left);
+         ++k) {
+      out.push(code[ci++]);
+    }
+    if (data_left) out.push(data[di++]);
+  }
+  return out;
+}
+
+Workload interleave(const Workload& code, const Workload& data,
+                    usize code_per_data) {
+  Workload out;
+  out.trace = interleave(code.trace, data.trace, code_per_data);
+  out.name = out.trace.name();
+  out.init = code.init;
+  out.init.insert(out.init.end(), data.init.begin(), data.init.end());
+  return out;
+}
+
 usize Workload::init_resident_bytes() const noexcept {
   usize total = 0;
   for (const auto& seg : init) total += seg.resident_bytes();

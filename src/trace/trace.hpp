@@ -95,4 +95,15 @@ struct Workload {
   [[nodiscard]] usize init_resident_bytes() const noexcept;
 };
 
+/// Interleave an instruction stream with a data stream, `code_per_data`
+/// fetches before each data access (a coarse dynamic mix). The tail of
+/// the longer trace is appended unchanged; with 0, all data comes first.
+[[nodiscard]] Trace interleave(const Trace& code, const Trace& data,
+                               usize code_per_data = 2);
+
+/// Both programs as one: their traces interleaved as above and their init
+/// images concatenated (code first).
+[[nodiscard]] Workload interleave(const Workload& code, const Workload& data,
+                                  usize code_per_data = 2);
+
 }  // namespace cnt

@@ -1,7 +1,7 @@
 // Golden-schema pin for cnt-lint's machine-readable surface (ctest
 // label: lint). scripts/check_all.sh and external CI parse
 // --format=json output and key off rule ids, so this suite freezes the
-// JSON field names, the R1..R12 catalog, and the finding sort order. A
+// JSON field names, the R1..R13 catalog, and the finding sort order. A
 // failure here means a consumer-visible contract changed: bump the
 // schema string and update every consumer, or revert.
 #include <algorithm>
@@ -40,8 +40,9 @@ TEST(LintSchema, RuleCatalogIsPinned) {
   const std::vector<RuleInfo>& catalog = rule_catalog();
   // Ids are never renumbered; the retired id between R10 and R12 stays
   // unused.
-  const std::vector<std::string> want = {"R1", "R2", "R3", "R4",  "R5", "R6",
-                                         "R7", "R8", "R9", "R10", "R12"};
+  const std::vector<std::string> want = {"R1", "R2",  "R3",  "R4",
+                                         "R5", "R6",  "R7",  "R8",
+                                         "R9", "R10", "R12", "R13"};
   ASSERT_EQ(catalog.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(catalog[i].id, want[i]);

@@ -1,6 +1,6 @@
 // Fixture suite for the cnt-lint rule engine (ctest label: lint).
 //
-// Each rule R1-R12 has one fixture under tests/lint/fixtures/ holding
+// Each rule R1-R13 has one fixture under tests/lint/fixtures/ holding
 // exactly ONE unsuppressed violation plus ONE suppressed twin. The suite
 // asserts (a) the violation is flagged exactly once, (b) stripping the
 // `cnt-lint:` suppression markers doubles the count -- proving the
@@ -96,7 +96,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FixtureCase{"src/cache/r8_layering.cpp", "R8"},
                       FixtureCase{"src/exec/r9_guard.cpp", "R9"},
                       FixtureCase{"r10_hot.cpp", "R10"},
-                      FixtureCase{"r12_wait.cpp", "R12"}),
+                      FixtureCase{"r12_wait.cpp", "R12"},
+                      FixtureCase{"tests/r13_tempdir.cpp", "R13"}),
     [](const ::testing::TestParamInfo<FixtureCase>& param) {
       return std::string(param.param.rule);
     });
@@ -190,6 +191,15 @@ TEST(LintR5, UsingAliasIsTracked) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "R5");
   EXPECT_EQ(findings[0].line, 5u);
+}
+
+TEST(LintR13, ScopedToTestsAndExemptsScratchDir) {
+  const std::string call = "auto p = ::testing::TempDir();\n";
+  EXPECT_EQ(lint_buffer("tests/test_x.cpp", call).size(), 1u);
+  EXPECT_EQ(lint_buffer("/abs/repo/tests/sub/test_y.cpp", call).size(), 1u);
+  EXPECT_TRUE(lint_buffer("tests/scratch_dir.hpp", call).empty());
+  EXPECT_TRUE(lint_buffer("src/common/io.cpp", call).empty());
+  EXPECT_TRUE(lint_buffer("mytests/test_x.cpp", call).empty());
 }
 
 TEST(LintJson, EscapesAndCounts) {

@@ -233,6 +233,9 @@ struct Row {
   int rc;
   std::string out_has;  ///< substring of stdout ("" = anything)
   std::string err_has;  ///< substring of stderr ("" = anything)
+  /// Written beside the run directory and passed as the first argument
+  /// ("" = no file).
+  std::string ini;
 };
 
 void PrintTo(const Row& row, std::ostream* os) { *os << row.label; }
@@ -337,6 +340,11 @@ std::vector<Row> rows() {
   out.push_back({"trace_tool_gen_retired", "examples/trace_tool",
                  {"gen", "zipf_kv", "x.txt", "0.05"}, 2, "",
                  "unknown command 'gen'"});
+  out.push_back({"cnt_sim_partitions_not_dividing_line", "examples/cnt_sim",
+                 {"zipf_kv", "0.02"}, 1, "",
+                 "key 'cnt.partitions' has out-of-range value '3' for a 64 B "
+                 "line",
+                 "[cnt]\npartitions = 3\n"});
   return out;
 }
 
@@ -350,6 +358,10 @@ TEST_P(CliBinary, ExitStatusMessageAndNoFileWritten) {
   std::ostringstream cmd;
   cmd << "cd " << quoted(cwd.string()) << " && env -u CNT_RESULTS_DIR "
       << quoted(std::string(CNT_BUILD_DIR) + "/" + row.exe);
+  if (!row.ini.empty()) {
+    std::ofstream(dir / "run.ini") << row.ini;  // cnt-lint: io-ok test input
+    cmd << ' ' << quoted(dir / "run.ini");
+  }
   for (const auto& a : row.args) cmd << ' ' << quoted(a);
   cmd << " >" << quoted(dir / "out") << " 2>" << quoted(dir / "err");
   const int status = std::system(cmd.str().c_str());
@@ -357,6 +369,10 @@ TEST_P(CliBinary, ExitStatusMessageAndNoFileWritten) {
   const std::string out = slurp(dir / "out"), err = slurp(dir / "err");
   EXPECT_EQ(WEXITSTATUS(status), row.rc) << cmd.str() << "\nstderr:\n" << err;
   EXPECT_NE(out.find(row.out_has), std::string::npos) << out;
+  // A refused run prints nothing to stdout -- no header before the error.
+  if (row.rc != 0) {
+    EXPECT_EQ(out, "") << cmd.str();
+  }
   EXPECT_NE(err.find(row.err_has), std::string::npos) << err;
   EXPECT_TRUE(std::filesystem::is_empty(cwd)) << cmd.str() << " wrote a file";
 }

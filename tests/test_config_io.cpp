@@ -131,6 +131,31 @@ TEST(SimConfigIo, OutOfRangeCntKnobsThrowNamingTheKey) {
   }
 }
 
+TEST(SimConfigIo, PartitionsMustSplitTheLineIntoWholeBytes) {
+  for (const char* ini : {"[cnt]\npartitions = 3\n", "[cnt]\npartitions = 0\n",
+                          "[cnt]\npartitions = 100\n",
+                          "[cache]\nline = 32\n[cnt]\npartitions = 64\n"}) {
+    try {
+      (void)sim_config_from(Config::parse_string(ini));
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const ValueError& e) {
+      EXPECT_EQ(e.info().code, Errc::kRange) << ini;
+      EXPECT_NE(e.info().message.find("'cnt.partitions'"), std::string::npos)
+          << e.what();
+      EXPECT_NE(e.info().message.find(" B line"), std::string::npos)
+          << e.what();
+    }
+  }
+  const SimConfig k64 =
+      sim_config_from(Config::parse_string("[cnt]\npartitions = 64\n"));
+  EXPECT_EQ(k64.cnt.partitions, 64u);
+  // The policy constructor runs the same check.
+  SimConfig bad;
+  bad.cnt.partitions = 3;
+  EXPECT_THROW(CntPolicy("cnt", bad.tech, geometry_of(bad.cache), bad.cnt),
+               ValueError);
+}
+
 TEST(SimConfigIo, CntKnobsAcceptTheirEdges) {
   const SimConfig cfg = sim_config_from(
       Config::parse_string("[cnt]\nwindow = 1\ndelta_t = 0\n"));

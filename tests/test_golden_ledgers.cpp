@@ -16,7 +16,7 @@
 //     on-disk .trs file (batched TraceSource pull loop),
 //   * fault_secded: a fault campaign with SECDED protection (the fault
 //     hook rides the same array paths the refactor touched),
-//   * hierarchy_srv_writeburst: run_hierarchy() over ifetch plus the
+//   * hierarchy_srv_writeburst: simulate_hierarchy() over ifetch plus the
 //     sparse srv_writeburst init image (the backing store's sparse load
 //     and the L1 -> L2 -> DRAM line traffic).
 //
@@ -136,8 +136,7 @@ std::string hex(Energy e) { return hex(e.in_joules()); }
 
 // Per-level ledgers (hex joules plus charge counts), full cache stats,
 // DRAM energy and the backing store's traffic counters.
-std::string render(const HierarchyRunResult& r, u64 line_reads,
-                   u64 line_writes, u64 word_writes) {
+std::string render(const HierarchyRunResult& r, const MemoryTraffic& memory) {
   std::ostringstream os;
   JsonWriter j(os);
   j.begin_object();
@@ -178,9 +177,9 @@ std::string render(const HierarchyRunResult& r, u64 line_reads,
   j.kv("dram_j", hex(r.dram_energy));
   j.key("memory");
   j.begin_object();
-  j.kv("line_reads", line_reads);
-  j.kv("line_writes", line_writes);
-  j.kv("word_writes", word_writes);
+  j.kv("line_reads", memory.line_reads);
+  j.kv("line_writes", memory.line_writes);
+  j.kv("word_writes", memory.word_writes);
   j.end_object();
   j.end_object();
   os << '\n';
@@ -196,21 +195,16 @@ TEST(GoldenLedgers, HierarchySrvWriteburst) {
   const Workload data = build_workload("srv_writeburst", /*scale=*/0.02);
   HierarchyRunConfig cfg;
   cfg.cnt_at_l1i = cfg.cnt_at_l1d = cfg.cnt_at_l2 = true;
-  const HierarchyRunResult r = run_hierarchy(cfg, code, data);
-  // run_hierarchy() owns its MainMemory, so each traffic counter is read
-  // back as the DRAM energy of a rerun that charges 1 J per event of that
-  // kind and nothing for the others.
-  auto count = [&](Energy DramParams::*unit) {
-    HierarchyRunConfig c = cfg;
-    c.dram = DramParams{Energy{}, Energy{}, Energy{}};
-    c.dram.*unit = Energy::joules(1.0);
-    return static_cast<u64>(run_hierarchy(c, code, data).dram_energy.in_joules());
-  };
+  // One replay with the baseline and CNT-Cache at every level: the
+  // CNT-Cache ledgers through placement_view() and the traffic counters
+  // straight from the run's backing store.
+  const Workload mixed = interleave(code, data);
+  VectorTraceSource source(mixed.trace);
+  const HierarchySimResult run =
+      simulate_hierarchy(source, mixed.init, hierarchy_levels(cfg));
   check_against_golden(
       "hierarchy_srv_writeburst",
-      render(r, count(&DramParams::per_line_read),
-             count(&DramParams::per_line_write),
-             count(&DramParams::per_word_write)));
+      render(placement_view(run, cfg), run.memory));
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(Hierarchy, L2SeesL1Misses) {
   h.access(MemAccess::read(0x1000));  // L1D miss -> L2 miss -> memory
   h.access(MemAccess::read(0x1000));  // L1D hit, L2 untouched
   EXPECT_EQ(h.l2().stats().accesses, 1u);
-  EXPECT_EQ(mem.line_reads(), 1u);
+  EXPECT_EQ(mem.traffic().line_reads, 1u);
 }
 
 TEST(Hierarchy, WithoutL2GoesStraightToMemory) {
@@ -73,7 +73,7 @@ TEST(Hierarchy, WithoutL2GoesStraightToMemory) {
   Hierarchy h(cfg, mem);
   EXPECT_FALSE(h.has_l2());
   h.access(MemAccess::read(0x1000));
-  EXPECT_EQ(mem.line_reads(), 1u);
+  EXPECT_EQ(mem.traffic().line_reads, 1u);
 }
 
 TEST(Hierarchy, RunReplaysWholeTrace) {

@@ -83,9 +83,9 @@ TEST(MainMemory, TrafficCounters) {
   mem.read_line(64, buf);
   mem.write_line(0, buf);
   mem.write_word(8, 1, 8);
-  EXPECT_EQ(mem.line_reads(), 2u);
-  EXPECT_EQ(mem.line_writes(), 1u);
-  EXPECT_EQ(mem.word_writes(), 1u);
+  EXPECT_EQ(mem.traffic().line_reads, 2u);
+  EXPECT_EQ(mem.traffic().line_writes, 1u);
+  EXPECT_EQ(mem.traffic().word_writes, 1u);
 }
 
 TEST(MainMemory, PokePeek) {
@@ -196,9 +196,9 @@ MemorySegment random_segment(Rng& rng) {
 }
 
 void expect_same(const MainMemory& mem, const ByteMapModel& model) {
-  ASSERT_EQ(mem.line_reads(), model.line_reads);
-  ASSERT_EQ(mem.line_writes(), model.line_writes);
-  ASSERT_EQ(mem.word_writes(), model.word_writes);
+  ASSERT_EQ(mem.traffic().line_reads, model.line_reads);
+  ASSERT_EQ(mem.traffic().line_writes, model.line_writes);
+  ASSERT_EQ(mem.traffic().word_writes, model.word_writes);
   for (const u64 region : kRegions) {
     for (u64 a = region; a < region + kWindow + 2 * 4096; ++a) {
       ASSERT_EQ(mem.peek(a), model.get(a)) << "byte at 0x" << std::hex << a;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/workload_suite.hpp"
+
 namespace cnt {
 namespace {
 
@@ -87,6 +89,49 @@ TEST(TraceStats, FootprintKib) {
   Trace t;
   for (u64 i = 0; i < 32; ++i) t.push(MemAccess::read(i * 64));
   EXPECT_DOUBLE_EQ(t.stats().footprint_kib, 2.0);
+}
+
+TEST(Interleave, MixesAtRequestedRatio) {
+  Trace code("c"), data("d");
+  for (u64 i = 0; i < 10; ++i) code.push(MemAccess::ifetch(0x1000 + i * 8));
+  for (u64 i = 0; i < 4; ++i) data.push(MemAccess::read(0x2000 + i * 8));
+  const Trace merged = interleave(code, data, 2);
+  EXPECT_EQ(merged.size(), 14u);
+  // Pattern: c c d c c d c c d c c d c c (tail of code appended).
+  EXPECT_EQ(merged[0].op, MemOp::kIFetch);
+  EXPECT_EQ(merged[1].op, MemOp::kIFetch);
+  EXPECT_EQ(merged[2].op, MemOp::kRead);
+  EXPECT_EQ(merged[5].op, MemOp::kRead);
+}
+
+TEST(Interleave, HandlesEmptyStreams) {
+  Trace code("c"), data("d");
+  for (u64 i = 0; i < 3; ++i) code.push(MemAccess::ifetch(i * 8));
+  EXPECT_EQ(interleave(code, Trace{}, 2).size(), 3u);
+  EXPECT_EQ(interleave(Trace{}, code, 2).size(), 3u);
+  EXPECT_EQ(interleave(Trace{}, Trace{}, 2).size(), 0u);
+}
+
+TEST(Interleave, ZeroFetchesPerDataPutsTheCodeLast) {
+  Trace code("c"), data("d");
+  for (u64 i = 0; i < 3; ++i) code.push(MemAccess::ifetch(i * 8));
+  for (u64 i = 0; i < 2; ++i) data.push(MemAccess::read(0x100 + i * 8));
+  const Trace merged = interleave(code, data, 0);
+  ASSERT_EQ(merged.size(), 5u);
+  EXPECT_EQ(merged[0].op, MemOp::kRead);
+  EXPECT_EQ(merged[1].op, MemOp::kRead);
+  EXPECT_EQ(merged[2].op, MemOp::kIFetch);
+  EXPECT_EQ(merged[4].addr, 16u);
+}
+
+TEST(Interleave, PreservesEveryAccess) {
+  const Workload code = build_workload("ifetch", 0.05);
+  const Workload data = build_workload("zipf_kv", 0.05);
+  const Trace merged = interleave(code.trace, data.trace, 3);
+  EXPECT_EQ(merged.size(), code.trace.size() + data.trace.size());
+  usize fetches = 0;
+  for (const auto& a : merged) fetches += a.op == MemOp::kIFetch;
+  EXPECT_EQ(fetches, code.trace.size());
 }
 
 }  // namespace

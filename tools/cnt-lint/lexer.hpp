@@ -7,7 +7,7 @@
 // annotations (rule R9) and `// cnt-hot` function markers (rule R10).
 // Deliberately NOT a full C++ grammar: the rule engine (rules.hpp)
 // works on token patterns plus a brace-scope model, which is enough for
-// the determinism/invariant checks R1-R12 and keeps the tool free of a
+// the determinism/invariant checks R1-R13 and keeps the tool free of a
 // libclang dependency so it builds everywhere the project does.
 #pragma once
 

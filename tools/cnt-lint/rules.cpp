@@ -178,6 +178,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "allocation or string construction inside a // cnt-hot function"},
       {"R12", "bare-wait", "wait-ok",
        "bare sleep or unbounded cv wait outside the cancellation layer"},
+      {"R13", "test-tempdir", "tempdir-ok",
+       "TempDir() in tests/ outside tests/scratch_dir.hpp"},
   };
   return kCatalog;
 }
@@ -1074,6 +1076,32 @@ void check_r12_bare_wait(const SourceFile& file, std::vector<Finding>& out) {
   }
 }
 
+// --- R13: test files outside the per-test scratch directory -------------
+//
+// Tests write files only inside tests/scratch_dir.hpp's per-test
+// directory (<TempDir>/<suite>.<test>.<pid>/). A path built on
+// ::testing::TempDir() directly is shared by every test process of a
+// parallel ctest run and by two build trees testing at once, so one test
+// can read or delete another's files. Scoped to tests/; scratch_dir.hpp
+// is the one file that may call it.
+void check_r13_test_tempdir(const SourceFile& file,
+                            std::vector<Finding>& out) {
+  if (!has_component(file.path, "tests") ||
+      file.path.ends_with("tests/scratch_dir.hpp")) {
+    return;
+  }
+  const RuleInfo& rule = rule_catalog()[11];
+  const Tokens& toks = file.tokens;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!toks[i].is_ident("TempDir") || !toks[i + 1].is_punct("(")) continue;
+    report(file, toks[i].line, rule,
+           "TempDir() is shared by every test process; build paths from a "
+           "test::ScratchDir (tests/scratch_dir.hpp), or annotate "
+           "// cnt-lint: tempdir-ok",
+           out);
+  }
+}
+
 void run_rules(const SourceFile& file, const std::vector<std::string>& enabled,
                const TreeContext& ctx, std::vector<Finding>& out) {
   auto on = [&](std::string_view id) {
@@ -1091,6 +1119,7 @@ void run_rules(const SourceFile& file, const std::vector<std::string>& enabled,
   if (on("R9")) check_r9_lock_discipline(file, ctx, out);
   if (on("R10")) check_r10_hot_alloc(file, out);
   if (on("R12")) check_r12_bare_wait(file, out);
+  if (on("R13")) check_r13_test_tempdir(file, out);
 }
 
 void run_rules(const SourceFile& file, const std::vector<std::string>& enabled,

@@ -1,4 +1,4 @@
-// cnt-lint rule engine: domain rules R1-R12 over lexed SourceFiles.
+// cnt-lint rule engine: domain rules R1-R13 over lexed SourceFiles.
 //
 // Rule catalog (rationale + examples: docs/static_analysis.md):
 //   R1 nondeterminism primitives (rand, srand, random_device, time(,
@@ -31,11 +31,14 @@
 //      layer (src/common/cancel.*, src/common/failpoint.*) -- pauses
 //      must be interruptible via cancel::Token::wait_ms or a bounded
 //      wait_for/wait_until in a re-checking loop        [wait-ok]
+//   R13 test scratch files: TempDir() called in tests/ anywhere but
+//      tests/scratch_dir.hpp -- test files live in the per-test
+//      test::ScratchDir                                 [tempdir-ok]
 //
 // Rule ids are never renumbered: the retired id between R10 and R12
 // stays unused.
 //
-// R1-R8, R10 and R12 are per-file. R9 consults a TreeContext harvested
+// R1-R8, R10, R12 and R13 are per-file. R9 consults a TreeContext harvested
 // from every scanned file first (guard annotations in a header govern
 // the paired .cpp), so the driver runs in two passes.
 //
@@ -55,7 +58,7 @@ namespace cnt::lint {
 struct Finding {
   std::string path;
   std::uint32_t line = 0;
-  std::string rule;     ///< "R1".."R12" ("U0" for the suppression audit)
+  std::string rule;     ///< "R1".."R13" ("U0" for the suppression audit)
   std::string name;     ///< short rule name, e.g. "nondeterminism"
   std::string message;
 
@@ -98,7 +101,7 @@ struct TreeContext {
 void harvest_context(const SourceFile& file, TreeContext& ctx);
 
 /// Run the selected rules over one file, appending findings.
-/// `enabled` holds rule ids ("R1".."R12"); empty means all rules.
+/// `enabled` holds rule ids ("R1".."R13"); empty means all rules.
 void run_rules(const SourceFile& file, const std::vector<std::string>& enabled,
                const TreeContext& ctx, std::vector<Finding>& out);
 
@@ -120,6 +123,8 @@ void check_r9_lock_discipline(const SourceFile& file, const TreeContext& ctx,
                               std::vector<Finding>& out);
 void check_r10_hot_alloc(const SourceFile& file, std::vector<Finding>& out);
 void check_r12_bare_wait(const SourceFile& file, std::vector<Finding>& out);
+void check_r13_test_tempdir(const SourceFile& file,
+                            std::vector<Finding>& out);
 
 // R8 layering model, exposed for the include-graph dump in the driver.
 // A module is one of the ranked src/ subsystems ("common", "device",
