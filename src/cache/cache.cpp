@@ -68,11 +68,26 @@ Cache::Cache(CacheConfig cfg, MemoryLevel& next)
   mru_way_.assign(cfg_.sets(), 0);
   scratch_before_.assign(line_bytes_, 0);
   zeros_.assign(line_bytes_, 0);
-  ones_after_.assign(line_bytes_ / 8, 0);
-  ones_before_.assign(line_bytes_ / 8, 0);
+  // Every line starts as zeros at version 0, and the profile of zeros is
+  // all zeros.
+  versions_.assign(n, 0);
+  profile_words_ = line_bytes_ / 8;
+  profiles_.assign(n * profile_words_, 0);
+  profile_totals_.assign(n, 0);
+  ones_before_.assign(profile_words_, 0);
 }
 
-void Cache::add_sink(AccessSink& sink) { sinks_.push_back(&sink); }
+void Cache::add_sink(AccessSink& sink) {
+  // Profiles are kept up to date only while a sink reads them: a cache
+  // that ran with none recounts every line before its first sink.
+  if (sinks_.empty() && stats_.accesses != 0) {
+    for (usize li = 0; li < profile_totals_.size(); ++li) {
+      profile_totals_[li] = static_cast<u32>(fill_ones_profile(
+          {data_.data() + li * line_bytes_, line_bytes_}, profile_of(li)));
+    }
+  }
+  sinks_.push_back(&sink);
+}
 
 void Cache::access(const MemAccess& a) {
   assert(a.valid());
@@ -82,12 +97,11 @@ void Cache::access(const MemAccess& a) {
 
 void Cache::read_line(u64 line_addr, std::span<u8> out) {
   assert(out.size() == line_bytes_);
-  access_impl(line_addr, MemOp::kRead, 0, 0, 0, {});
-  // After the access the line is resident (read misses always allocate);
-  // copy it out.
-  const u32 set = static_cast<u32>((line_addr >> offset_bits_) & set_mask_);
-  const u32 way = lookup(set, line_addr >> (offset_bits_ + set_bits_));
+  // A read always leaves the line resident (read misses always allocate),
+  // in the way the access hit or filled; copy it out.
+  const u32 way = access_impl(line_addr, MemOp::kRead, 0, 0, 0, {});
   assert(way < ways_ && "line missing after read fill");
+  const u32 set = static_cast<u32>((line_addr >> offset_bits_) & set_mask_);
   std::memcpy(out.data(), line_data(set, way).data(), line_bytes_);
 }
 
@@ -101,8 +115,8 @@ void Cache::write_word(u64 addr, u64 value, u8 size) {
 }
 
 // cnt-hot
-void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
-                        std::span<const u8> full_line_data) {
+u32 Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
+                       std::span<const u8> full_line_data) {
   const u32 set = static_cast<u32>((addr >> offset_bits_) & set_mask_);
   const u64 tag = addr >> (offset_bits_ + set_bits_);
   const bool is_write = op == MemOp::kWrite;
@@ -132,7 +146,9 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
   if (hit_way < ways_) {
     // --- Hit ---
     const u32 w = hit_way;
+    const usize li = line_index(set, w);
     std::span<u8> stored = line_data(set, w);
+    bool changed = is_write;
     if (is_write) {
       // The before image must survive the mutation below: copy it out.
       std::memcpy(scratch_before_.data(), stored.data(), line_bytes_);
@@ -143,7 +159,7 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
       }
       if (cfg_.write_policy == WritePolicy::kWriteBack) {
         dirty_mask_[set] |= u64{1} << w;
-        dirty_words_[line_index(set, w)] |=
+        dirty_words_[li] |=
             full_line_data.empty() ? (1ULL << (offset / 8))
                                    : full_dirty_mask(line_bytes_);
       } else {
@@ -160,8 +176,10 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
     } else {
       if (fault_hook_ != nullptr) {
         // The demand read senses the array: faults manifest here, and
-        // whatever the protection scheme misses is what the CPU gets.
+        // whatever the protection scheme misses is what the CPU gets. A
+        // read that saw no flip left the bytes as they were.
         ev.fault.add(fault_hook_->on_read(set, w, stored));
+        changed = ev.fault.flips != 0;
       }
       ++stats_.read_hits;
       ev.kind = AccessKind::kReadHit;
@@ -172,11 +190,13 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
     }
     repl_on_access(set, w);
     mru_way_[set] = w;
+    if (changed) bump_version(li);
     ev.way = w;
     ev.line_after = line_data(set, w);
+    ev.line_version = versions_[li];
     ev.idle_slots = idle_slots_for(/*miss=*/false);
-    emit(ev);
-    return;
+    emit(ev, changed);
+    return w;
   }
 
   // --- Miss ---
@@ -192,9 +212,10 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
     ev.way = 0;
     ev.line_before = {};
     ev.line_after = {};
+    ev.line_version = 0;
     ev.idle_slots = idle_slots_for(/*miss=*/true);
-    emit(ev);
-    return;
+    emit(ev, /*line_changed=*/false);
+    return static_cast<u32>(ways_);
   }
 
   const u32 victim = choose_victim(set);
@@ -216,6 +237,16 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
       }
       std::memcpy(scratch_before_.data(), stored.data(), line_bytes_);
       before = scratch_before_;
+      // The fill below reuses the victim's profile slot, so its profile
+      // moves to ones_before_ first. A victim read that flipped bits
+      // changed the bytes, which the fill's new version then covers.
+      if (!sinks_.empty()) {
+        if (ev.fault.flips != 0) {
+          fill_ones_profile(before, ones_before_.data());
+        } else {
+          std::memcpy(ones_before_.data(), profile_of(li), profile_words_);
+        }
+      }
       ev.evicted_dirty = true;
       ev.evicted_dirty_words = cfg_.sector_writeback
                                    ? dirty_words_[li]
@@ -267,16 +298,19 @@ void Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
   ++stats_.fills;
   repl_on_fill(set, victim);
   mru_way_[set] = victim;
+  bump_version(li);
 
   ev.way = victim;
   ev.line_before = before;
   ev.line_after = stored;
+  ev.line_version = versions_[li];
   // Tag write on fill: tag field + valid + dirty state bits.
   ev.tag_bits_written = tag_state_bits_;
   ev.tag_ones_written =
       static_cast<usize>(std::popcount(tag)) + 1 + (filled_dirty ? 1 : 0);
   ev.idle_slots = idle_slots_for(/*miss=*/true);
-  emit(ev);
+  emit(ev, /*line_changed=*/true);
+  return victim;
 }
 
 u32 Cache::choose_victim(u32 set) {
@@ -322,24 +356,27 @@ u32 Cache::probe_tags(u32 set, u64 tag, AccessEvent& ev) const {
 }
 
 // cnt-hot
-void Cache::emit(AccessEvent& ev) {
+void Cache::emit(AccessEvent& ev, bool line_changed) {
   if (sinks_.empty()) return;
-  // Profiles are taken here, after every mutation of the access (stores,
-  // fault-hook corruption of the stored line, victim read-out), so they
-  // describe exactly the spans the sinks see.
+  // A changed line is recounted here, after every mutation of the access
+  // (stores, fault-hook corruption of the stored line), so the profile
+  // describes exactly the span the sinks see. An unchanged line still
+  // has the profile of its version.
   if (ev.line_after.empty()) {
     ev.ones_after = {};
     ev.ones_after_total = 0;
   } else {
-    ev.ones_after_total = fill_ones_profile(ev.line_after, ones_after_.data());
-    ev.ones_after = ones_after_;
+    const usize li = line_index(ev.set, ev.way);
+    u8* profile = profile_of(li);
+    if (line_changed) {
+      profile_totals_[li] =
+          static_cast<u32>(fill_ones_profile(ev.line_after, profile));
+    }
+    ev.ones_after = {profile, profile_words_};
+    ev.ones_after_total = profile_totals_[li];
   }
-  if (ev.evicted_dirty) {
-    fill_ones_profile(ev.line_before, ones_before_.data());
-    ev.ones_before = ones_before_;
-  } else {
-    ev.ones_before = {};
-  }
+  ev.ones_before = ev.evicted_dirty ? std::span<const u8>(ones_before_)
+                                    : std::span<const u8>{};
   for (auto* s : sinks_) s->on_access(ev);
 }
 

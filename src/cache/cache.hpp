@@ -54,18 +54,22 @@ class Cache final : public MemoryLevel {
   /// line.
   void access(const MemAccess& a);
 
-  /// Warm the set `addr` maps to (tag run, state masks, every way's data
-  /// line) without touching any simulator state. The replay loop issues
-  /// this a few accesses ahead (docs/performance.md): the data store is one
-  /// flat multi-MiB buffer, so an unwarmed access stalls on DRAM for the
-  /// line it hits as surely as a miss stalls on the fill source.
+  /// Warm the set `addr` maps to (tag run, state masks, line versions and
+  /// ones profiles, every way's data line) without touching any simulator
+  /// state. The replay loop issues this a few accesses ahead
+  /// (docs/performance.md): the data store is one flat multi-MiB buffer, so
+  /// an unwarmed access stalls on DRAM for the line it hits as surely as a
+  /// miss stalls on the fill source.
   void prefetch(u64 addr) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
     const u32 set = static_cast<u32>((addr >> offset_bits_) & set_mask_);
-    __builtin_prefetch(tags_.data() + static_cast<usize>(set) * ways_, 0, 1);
+    const usize first = static_cast<usize>(set) * ways_;
+    __builtin_prefetch(tags_.data() + first, 0, 1);
     __builtin_prefetch(valid_mask_.data() + set, 0, 1);
-    const u8* set_data =
-        data_.data() + static_cast<usize>(set) * ways_ * line_bytes_;
+    __builtin_prefetch(versions_.data() + first, 0, 1);
+    __builtin_prefetch(profile_totals_.data() + first, 0, 1);
+    __builtin_prefetch(profiles_.data() + first * profile_words_, 0, 1);
+    const u8* set_data = data_.data() + first * line_bytes_;
     for (usize b = 0; b < ways_ * line_bytes_; b += 64) {
       __builtin_prefetch(set_data + b, 0, 1);
     }
@@ -139,18 +143,25 @@ class Cache final : public MemoryLevel {
 
   /// Core path shared by CPU accesses and upper-level line traffic.
   /// For full-line ops, offset=0 and size=line_bytes with `data` supplied.
-  void access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
-                   std::span<const u8> full_line_data);
+  /// Returns the way that hit or was filled, or ways_ for a write-around.
+  u32 access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
+                  std::span<const u8> full_line_data);
 
   [[nodiscard]] u32 choose_victim(u32 set);
   /// One pass over the set's tag run that both locates `tag` and accounts
   /// the tag-array read on `ev` (bits + stored ones). Returns the hit way,
   /// or ways_ on a miss.
   [[nodiscard]] u32 probe_tags(u32 set, u64 tag, AccessEvent& ev) const;
-  /// Fill the event's ones profile (see AccessEvent) and broadcast it.
-  /// With no sink attached there is nobody to read the profile, so both
-  /// steps are skipped.
-  void emit(AccessEvent& ev);
+  /// The line at `li` got new bytes: give it the next version.
+  void bump_version(usize li) noexcept { versions_[li] = ++last_version_; }
+  [[nodiscard]] u8* profile_of(usize li) noexcept {
+    return profiles_.data() + li * profile_words_;
+  }
+  /// Point the event at its line's ones profile (see AccessEvent),
+  /// recounting it first when the access changed the line, and broadcast
+  /// it. With no sink attached there is nobody to read the profile, so
+  /// both steps are skipped (add_sink recounts every line).
+  void emit(AccessEvent& ev, bool line_changed);
 
   // Downstream traffic helpers: when the next level is the backing store
   // itself (the common single-level topology), call it through a concrete
@@ -241,9 +252,16 @@ class Cache final : public MemoryLevel {
   // unobservable (every consumer is gated on evicted_dirty), so the copy
   // it used to cost is skipped.
   std::vector<u8> zeros_;
-  // Preallocated backing for the event ones profiles (one count per
-  // 8-byte word), so filling them never allocates on the hot path.
-  std::vector<u8> ones_after_;
+  // Per-line content versions and ones profiles (see AccessEvent): a
+  // line's profile is recounted only when its version moves, so a read
+  // hit on an unchanged line costs no popcount.
+  std::vector<u64> versions_;        ///< [sets * ways]
+  u64 last_version_ = 0;             ///< last version handed out
+  usize profile_words_ = 0;          ///< line_bytes / 8
+  std::vector<u8> profiles_;         ///< [sets * ways * profile_words_]
+  std::vector<u32> profile_totals_;  ///< [sets * ways] line popcounts
+  // Preallocated backing for a dirty victim's ones profile, which the
+  // fill overwrites in profiles_ before the event is broadcast.
   std::vector<u8> ones_before_;
 };
 

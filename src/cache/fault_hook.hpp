@@ -34,7 +34,9 @@ class LineFaultHook {
   /// The array is read (demand read hit or victim writeback read):
   /// reassert stuck cells, sample transient flips, run the protection
   /// scheme, and repair `stored` where the scheme corrects or detects
-  /// (detection recovers via refetch). Silent flips stay in `stored`.
+  /// (detection recovers via refetch). Silent flips stay in `stored`. A
+  /// read that reports no flip must leave `stored` unchanged: the cache
+  /// keeps the line's version (AccessEvent::line_version) across it.
   virtual LineFaultReport on_read(u32 set, u32 way, std::span<u8> stored) = 0;
 };
 

@@ -139,7 +139,8 @@ IdealPolicy::IdealPolicy(std::string name, const TechParams& tech,
     : EnergyPolicyBase(std::move(name), tech, geom, wg),
       scheme_(geom.line_bytes, partitions),
       part_min_(tech.cell, scheme_.partition_bits()),
-      word_min_(tech.cell, 64) {}
+      word_min_(tech.cell, 64),
+      read_memo_(geom.lines()) {}
 
 Energy IdealPolicy::best_read(const AccessEvent& ev) const {
   Energy total{};
@@ -148,6 +149,19 @@ Energy IdealPolicy::best_read(const AccessEvent& ev) const {
         profile_partition_ones(scheme_, ev.line_after, ev.ones_after, p));
   }
   return total;
+}
+
+Energy IdealPolicy::read_cost(const AccessEvent& ev) {
+  // A fill or a store gives the line a new version, so a memo keyed on
+  // the version needs no invalidation.
+  if (ev.line_version == 0) return best_read(ev);
+  ReadMemo& memo =
+      read_memo_[static_cast<usize>(ev.set) * array_.geometry().ways + ev.way];
+  if (memo.version != ev.line_version) {
+    memo.version = ev.line_version;
+    memo.cost = best_read(ev);
+  }
+  return memo.cost;
 }
 
 Energy IdealPolicy::best_write(const AccessEvent& ev, usize bit_lo,
@@ -177,7 +191,7 @@ void IdealPolicy::on_access(const AccessEvent& ev) {
 
   switch (ev.kind) {
     case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead, best_read(ev));
+      ledger_.charge(EnergyCategory::kDataRead, read_cost(ev));
       charge_output(transfer_bits(ev));
       break;
 

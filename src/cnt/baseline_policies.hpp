@@ -89,15 +89,26 @@ class IdealPolicy final : public EnergyPolicyBase {
   /// Best read of the whole line (every partition at its cheaper
   /// direction), from the event's ones profile.
   [[nodiscard]] Energy best_read(const AccessEvent& ev) const;
+  /// best_read, reused from the line's memo when the cache reports the
+  /// version it was priced at.
+  [[nodiscard]] Energy read_cost(const AccessEvent& ev);
   /// Cheapest possible write of the bit range [lo, hi) of line_after,
   /// choosing the better of raw/inverted independently per overlapped
   /// partition.
   [[nodiscard]] Energy best_write(const AccessEvent& ev, usize bit_lo,
                                   usize bit_hi) const;
 
+  /// The best read last priced for a line and the line_version it was
+  /// priced at (0 = none).
+  struct ReadMemo {
+    u64 version = 0;
+    Energy cost{};
+  };
+
   PartitionScheme scheme_;
   MinEnergyByOnes part_min_;  ///< one whole partition
   MinEnergyByOnes word_min_;  ///< one 64-bit dirty word
+  std::vector<ReadMemo> read_memo_;  ///< [sets * ways]
 };
 
 }  // namespace cnt

@@ -135,7 +135,7 @@ void CntPolicy::on_access(const AccessEvent& ev) {
       break;
   }
 
-  drain(ev.idle_slots);
+  if (ev.idle_slots != 0) drain(ev.idle_slots);
 }
 
 void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
@@ -163,7 +163,7 @@ void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
                      write_energy_counts(tech_.cell, bit_hi - bit_lo, ones));
     }
   } else {
-    ledger_.charge(EnergyCategory::kDataRead, stored_read_cost(ev, dirs));
+    ledger_.charge(EnergyCategory::kDataRead, read_cost(ev, st, dirs));
   }
   charge_encoder_pass();
   charge_output(transfer_bits(ev));
@@ -207,6 +207,7 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
   // running across fills.
   ++st.generation;
   st.pending = false;
+  st.read_version = 0;
   st.hist = HistoryCounters{};
   st.write_filled = ev.kind == AccessKind::kWriteMissFill;
   st.zero_flag = cfg_.zero_line_opt && ev.ones_after_total == 0;
@@ -269,6 +270,7 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
   // chosen encoding (a full-line array write regardless of granularity).
   // The original fill's miss type still carries the usage prediction.
   st.zero_flag = false;
+  st.read_version = 0;
   ++stats_.zero_materializations;
   usize raw_ones[64];
   partition_ones_of(ev, raw_ones);
@@ -442,6 +444,24 @@ Energy CntPolicy::stored_read_cost(const AccessEvent& ev, u64 dirs) const {
   return total;
 }
 
+Energy CntPolicy::read_cost(const AccessEvent& ev, LineState& st,
+                             u64 dirs) {
+  // The memo only ever holds a cost priced under st.directions: every
+  // change of the directions (fill, zero-line materialization, re-encode)
+  // clears it. A decoder mask that a direction fault bent away from
+  // st.directions is priced afresh and not kept.
+  const bool intended = dirs == st.directions;
+  if (intended && ev.line_version != 0 && ev.line_version == st.read_version) {
+    return st.read_cost;
+  }
+  const Energy cost = stored_read_cost(ev, dirs);
+  if (intended) {
+    st.read_version = ev.line_version;
+    st.read_cost = cost;
+  }
+  return cost;
+}
+
 Energy CntPolicy::flip_aware_write_cost(std::span<const u8> before,
                                         std::span<const u8> after, u64 dirs,
                                         usize bit_lo, usize bit_hi) const {
@@ -492,6 +512,7 @@ void CntPolicy::drain(u32 slots) {
                                          stored_dir_ones(req->new_directions)));
     }
     st.directions = req->new_directions;
+    st.read_version = 0;
     note_directions_written(req->set, req->way, st.directions);
     // A re-encode rewrites flipped partitions, so the protection check
     // bits are regenerated and rewritten with them.

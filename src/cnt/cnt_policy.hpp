@@ -163,6 +163,10 @@ class CntPolicy final : public EnergyPolicyBase {
   /// Read cost of the whole stored line_after under `dirs`.
   [[nodiscard]] Energy stored_read_cost(const AccessEvent& ev,
                                         u64 dirs) const;
+  /// stored_read_cost, reused from st's memo when the line is unchanged
+  /// since it was priced and `dirs` is the mask it was priced under.
+  [[nodiscard]] Energy read_cost(const AccessEvent& ev, LineState& st,
+                                 u64 dirs);
   [[nodiscard]] Energy flip_aware_write_cost(std::span<const u8> before,
                                              std::span<const u8> after,
                                              u64 dirs, usize bit_lo,

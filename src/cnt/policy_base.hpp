@@ -8,6 +8,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/access_event.hpp"
 #include "common/bits.hpp"
@@ -73,7 +74,13 @@ class EnergyPolicyBase : public AccessSink {
       : name_(std::move(name)),
         tech_(tech),
         array_(tech, geom),
-        write_gran_(write_gran) {}
+        write_gran_(write_gran),
+        set_tag_bits_((geom.tag_bits + geom.state_bits) * geom.ways),
+        set_tag_lookup_(set_tag_bits_ + 1) {
+    for (usize ones = 0; ones <= set_tag_bits_; ++ones) {
+      set_tag_lookup_[ones] = array_.tag_lookup_energy(set_tag_bits_, ones);
+    }
+  }
 
   /// Bit range of the line a write-hit drives under the configured
   /// granularity. ev.size == 0 (line-granular traffic from an upper level)
@@ -92,11 +99,15 @@ class EnergyPolicyBase : public AccessSink {
     ledger_.charge(EnergyCategory::kDecode, array_.decode_energy());
   }
 
-  /// Tag-side lookup for this access.
+  /// Tag-side lookup for this access. A full-set probe is priced from
+  /// the per-ones table (the same doubles the formula gives); a
+  /// way-predicted one-way probe runs the formula.
   void charge_tag_lookup(const AccessEvent& ev) {
     ledger_.charge(EnergyCategory::kTagRead,
-                   array_.tag_lookup_energy(ev.tag_bits_read,
-                                            ev.tag_ones_read));
+                   ev.tag_bits_read == set_tag_bits_
+                       ? set_tag_lookup_[ev.tag_ones_read]
+                       : array_.tag_lookup_energy(ev.tag_bits_read,
+                                                  ev.tag_ones_read));
   }
 
   /// Tag write on a fill.
@@ -200,6 +211,10 @@ class EnergyPolicyBase : public AccessSink {
   ArrayModel array_;
   EnergyLedger ledger_;
   WriteGranularity write_gran_;
+  // Tag lookup energy of a full-set probe, indexed by the '1' count of
+  // the set's tag+state bits.
+  usize set_tag_bits_;
+  std::vector<Energy> set_tag_lookup_;
   ProtectionSpec prot_{};
   // Protection energies per array operation (set by set_protection).
   Energy ecc_read_storage_{};

@@ -15,15 +15,10 @@ Predictor::Predictor(const BitEnergies& cell, PartitionScheme scheme,
   assert(window >= 1);
 }
 
-PredictorDecision Predictor::on_access(HistoryCounters& hist, u64 directions,
-                                       bool is_write,
-                                       std::span<const usize> raw_ones) const {
+PredictorDecision Predictor::close_window(
+    HistoryCounters& hist, u64 directions,
+    std::span<const usize> raw_ones) const {
   PredictorDecision d;
-  ++hist.a_num;
-  if (is_write) ++hist.wr_num;
-  if (hist.a_num < window_) return d;
-
-  // Window boundary.
   assert(raw_ones.size() == scheme_.partitions());
   d.window_completed = true;
   const usize wr_num = hist.wr_num;

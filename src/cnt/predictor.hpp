@@ -17,6 +17,7 @@
 #include "cnt/encoding.hpp"
 #include "cnt/threshold.hpp"
 #include "common/types.hpp"
+#include "common/units.hpp"
 
 namespace cnt {
 
@@ -38,6 +39,13 @@ struct LineState {
                            ///< CntConfig::zero_line_opt)
   bool write_filled = false;  ///< the line was brought in by a write miss
                               ///< (drives re-materialization encoding)
+  /// Read-cost memo (CntPolicy): the data-read energy last priced for the
+  /// line's bytes at AccessEvent::line_version `read_version`, decoded
+  /// under `directions`. It is valid while the cache reports that version
+  /// and the decoder sees `directions`; every change of `directions`
+  /// clears it. 0 = none.
+  u64 read_version = 0;
+  Energy read_cost{};
 };
 
 struct PredictorDecision {
@@ -63,7 +71,12 @@ class Predictor {
   /// empty span on any other access.
   [[nodiscard]] PredictorDecision on_access(
       HistoryCounters& hist, u64 directions, bool is_write,
-      std::span<const usize> raw_ones) const;
+      std::span<const usize> raw_ones) const {
+    ++hist.a_num;
+    if (is_write) ++hist.wr_num;
+    if (hist.a_num < window_) return {};
+    return close_window(hist, directions, raw_ones);
+  }
 
   /// Convenience overload for per-line history (the paper's design) that
   /// counts the partitions of the logical contents `logical` itself.
@@ -87,6 +100,12 @@ class Predictor {
   [[nodiscard]] usize history_bits() const noexcept { return history_bits_; }
 
  private:
+  /// The window boundary of on_access: evaluate every partition, then
+  /// reset the counters.
+  [[nodiscard]] PredictorDecision close_window(
+      HistoryCounters& hist, u64 directions,
+      std::span<const usize> raw_ones) const;
+
   PartitionScheme scheme_;
   ThresholdTable table_;
   usize window_;

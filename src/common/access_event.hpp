@@ -76,8 +76,8 @@ struct AccessEvent {
   /// Logical line contents after the access. Empty for kWriteAround.
   std::span<const u8> line_after;
 
-  /// Ones profile, filled once per event by the cache so every sink can
-  /// read '1' counts instead of re-popcounting the same bytes (see
+  /// Ones profile, kept per line by the cache so every sink can read '1'
+  /// counts instead of re-popcounting the same bytes (see
   /// docs/architecture.md). ones_after[w] is the '1' count of the w-th
   /// 8-byte word of line_after, and ones_after_total their sum (the
   /// line's popcount). ones_before is the same profile of line_before,
@@ -87,6 +87,16 @@ struct AccessEvent {
   std::span<const u8> ones_after;
   usize ones_after_total = 0;
   std::span<const u8> ones_before;
+
+  /// Version of the stored line_after bytes. The cache draws versions from
+  /// one counter per cache, starting at 1, and gives a line a new one
+  /// whenever its bytes may have changed: a fill, a store, or an array read
+  /// whose fault hook reported flips. Two events of one cache with the
+  /// same nonzero version therefore carry identical line_after bytes and
+  /// ones profiles, so a sink may reuse whatever it derived from them.
+  /// 0 means "unknown, never reuse": kWriteAround events and synthetic
+  /// events carry it.
+  u64 line_version = 0;
 
   /// Tag-array lookup cost inputs: total tag+state bits read across the
   /// set's ways this access, and how many of them were '1'.

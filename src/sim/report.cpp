@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
@@ -59,46 +58,6 @@ std::string breakdown_table(const SimResult& result) {
   }
   t.add_row(std::move(total_row));
   return t.render();
-}
-
-std::string fault_table(const std::vector<SimResult>& results) {
-  Table t({"workload", "stuck", "flips", "corrected", "detected", "SDC bits",
-           "dir flips", "dir SDC", "saving"});
-  for (const auto& r : results) {
-    if (!r.has_fault) continue;
-    const FaultStats& fs = r.fault_stats;
-    t.add_row({r.workload,
-               std::to_string(fs.stuck_data_cells + fs.stuck_dir_cells),
-               std::to_string(fs.transient_data_flips +
-                              fs.transient_dir_flips),
-               std::to_string(fs.corrected_bits + fs.dir_corrected_bits),
-               std::to_string(fs.detected_events + fs.dir_detected_events),
-               std::to_string(fs.silent_bits),
-               std::to_string(fs.dir_flips),
-               std::to_string(fs.dir_silent_bits),
-               Table::pct(r.saving(kPolicyCnt))});
-  }
-  return t.render();
-}
-
-void write_savings_csv(const std::vector<SimResult>& results,
-                       const std::string& path) {
-  CsvWriter csv(path,
-                {"workload", "hit_rate", "write_fraction", "cmos_j",
-                 "cnfet_base_j", "static_j", "cnt_j", "ideal_j", "saving"});
-  for (const auto& r : results) {
-    auto joules = [&r](std::string_view name) {
-      const auto* p = r.find(name);
-      return p == nullptr ? std::string()
-                          : std::to_string(p->total().in_joules());
-    };
-    csv.add_row({r.workload, std::to_string(r.cache_stats.hit_rate()),
-                 std::to_string(r.trace_stats.write_fraction),
-                 joules(kPolicyCmos), joules(kPolicyBaseline),
-                 joules(kPolicyStatic), joules(kPolicyCnt),
-                 joules(kPolicyIdeal), std::to_string(r.saving(kPolicyCnt))});
-  }
-  csv.finish();
 }
 
 std::string results_dir() {

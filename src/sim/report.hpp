@@ -1,5 +1,5 @@
-// Report helpers shared by the benchmark harness binaries: savings tables,
-// energy breakdowns, and CSV emission.
+// Report helpers shared by the benchmark harness binaries: savings and
+// energy-breakdown tables, and the results directory.
 #pragma once
 
 #include <string>
@@ -23,16 +23,6 @@ namespace cnt {
 
 /// Render a per-category energy breakdown table for one result.
 [[nodiscard]] std::string breakdown_table(const SimResult& result);
-
-/// Render the fault-campaign summary table: one row per result with the
-/// raw upset counts and their protection outcomes (corrected / detected /
-/// silent, data and direction-bit domains) plus the residual CNT saving.
-/// Results without a campaign (has_fault == false) are skipped.
-[[nodiscard]] std::string fault_table(const std::vector<SimResult>& results);
-
-/// Write the savings rows as CSV to `path`.
-void write_savings_csv(const std::vector<SimResult>& results,
-                       const std::string& path);
 
 /// Standard directory for benchmark CSV output; created on demand.
 /// Resolves to $CNT_RESULTS_DIR or "./results".

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-
-#include "sim/report.hpp"
 #include "sim/runner.hpp"
 #include "trace/workload_suite.hpp"
 
@@ -112,21 +110,6 @@ TEST(FaultRunner, CampaignIsDeterministic) {
   EXPECT_EQ(a.fault_stats.corrected_bits, b.fault_stats.corrected_bits);
   EXPECT_EQ(a.fault_stats.silent_bits, b.fault_stats.silent_bits);
   EXPECT_EQ(a.energy(kPolicyCnt).in_joules(), b.energy(kPolicyCnt).in_joules());
-}
-
-TEST(FaultRunner, FaultTableRendersCampaignRows) {
-  SimConfig cfg = two_policy_config();
-  cfg.fault.stuck_per_mbit = 200.0;
-  cfg.fault.protection = ProtectionScheme::kSecded;
-  const auto res = simulate(build_workload("zipf_kv", 0.05), cfg);
-  const auto table = fault_table({res});
-  EXPECT_NE(table.find("zipf_kv"), std::string::npos);
-  EXPECT_NE(table.find("SDC bits"), std::string::npos);
-  // A result without a campaign renders no row.
-  const auto clean = simulate(build_workload("zipf_kv", 0.05),
-                              two_policy_config());
-  const auto empty = fault_table({clean});
-  EXPECT_EQ(empty.find("zipf_kv"), std::string::npos);
 }
 
 }  // namespace

@@ -2,13 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "common/error.hpp"
 #include "sim/report.hpp"
 #include "trace/workload_suite.hpp"
-#include "scratch_dir.hpp"
 
 namespace cnt {
 namespace {
@@ -147,21 +143,6 @@ TEST(Report, MeanSavingMatchesManualAverage) {
   const double manual =
       (results[0].saving(kPolicyCnt) + results[1].saving(kPolicyCnt)) / 2.0;
   EXPECT_NEAR(mean_saving(results), manual, 1e-12);
-}
-
-TEST(Report, CsvWritten) {
-  SimConfig cfg;
-  cfg.with_cmos = false;
-  std::vector<SimResult> results;
-  results.push_back(simulate(build_workload("stream_copy", 0.05), cfg));
-  const test::ScratchDir dir;
-  const std::string path = dir / "savings.csv";
-  write_savings_csv(results, path);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("workload"), std::string::npos);
 }
 
 }  // namespace
