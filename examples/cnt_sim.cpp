@@ -3,7 +3,7 @@
 //   $ ./cnt_sim experiment.ini
 //   $ ./cnt_sim experiment.ini workload2 0.5   # override workload + scale
 //
-// The INI schema is documented in src/sim/config_io.hpp; [workload]
+// The INI keys are the field table in src/sim/config_io.cpp; [workload]
 // name/scale select the stimulus, [output] json = <path> additionally
 // dumps the machine-readable result. Unknown keys produce warnings rather
 // than silent ignores.
@@ -39,15 +39,8 @@ int main(int argc, char** argv) {
 
     // Warn about keys the reader does not understand (typos), with a
     // nearest-match suggestion when one is close enough.
-    auto known = cnt::known_sim_config_keys();
-    known.push_back("output.json");
-    for (const auto& [key, suggestion] : ini.unknown_keys(known)) {
-      std::cerr << "warning: unknown config key '" << key << "'";
-      if (!suggestion.empty()) {
-        std::cerr << " (did you mean '" << suggestion << "'?)";
-      }
-      std::cerr << "\n";
-    }
+    cnt::warn_unknown_keys(
+        ini, {"workload.name", "workload.scale", "output.json"}, std::cerr);
 
     const cnt::SimConfig cfg = cnt::sim_config_from(ini);
     const std::string workload =

@@ -7,7 +7,9 @@
 //   $ ./cnt_sweep - cnt.window 3,7,15 suite 0.2 --jsonl sweep.jsonl --resume
 //
 // "-" uses the built-in defaults as the base configuration. The key may be
-// any key `sim_config_from` understands (see src/sim/config_io.hpp).
+// any key of the field table in src/sim/config_io.cpp except `policies.*`:
+// every sweep runs the baseline and CNT-Cache only. A key outside the table
+// is refused (exit 2); unknown keys in the base INI are warned about.
 // Parallelism: --jobs N, else $CNT_JOBS, else all hardware threads;
 // results are deterministic and identical to --jobs 1 regardless.
 // Ctrl-C stops the sweep gracefully; with --jsonl the flushed journal can
@@ -15,6 +17,7 @@
 // --job-timeout-ms N (or $CNT_JOB_TIMEOUT_MS) arms the per-attempt
 // watchdog: a hung job is cancelled and quarantined, the sweep completes
 // without it, and the process exits 3 (docs/robustness.md).
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -75,10 +78,20 @@ int main(int argc, char** argv) {
   if (resume && jsonl_path.empty()) {
     return cli.usage_error("--resume needs a journal; pass --jsonl <path>");
   }
+  const auto known = known_sim_config_keys();
+  if (std::find(known.begin(), known.end(), key) == known.end()) {
+    return cli.usage_error(unknown_key_message(key, known));
+  }
+  if (key.starts_with("policies.")) {
+    return cli.usage_error("cannot sweep '" + key +
+                           "': every sweep runs the baseline and CNT-Cache "
+                           "only");
+  }
 
   try {
     const Config base =
         base_path == "-" ? Config{} : Config::load(base_path);
+    warn_unknown_keys(base, {}, std::cerr);
     const std::vector<std::string> loads =
         target == "suite" ? suite_names()
                           : std::vector<std::string>{target};

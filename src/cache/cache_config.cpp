@@ -1,8 +1,7 @@
 #include "cache/cache_config.hpp"
 
-#include <stdexcept>
-
 #include "common/bits.hpp"
+#include "common/error.hpp"
 
 namespace cnt {
 
@@ -49,22 +48,24 @@ u64 CacheConfig::addr_of(u64 tag, u32 set) const noexcept {
 }
 
 void CacheConfig::validate() const {
+  const auto refuse = [this](const char* what) {
+    throw ValueError(Errc::kRange, name + ": " + what);
+  };
   if (line_bytes < 8 || !is_pow2(line_bytes)) {
-    throw std::invalid_argument(name + ": line_bytes must be a power of two >= 8");
+    refuse("line_bytes must be a power of two >= 8");
   }
-  if (ways == 0) throw std::invalid_argument(name + ": ways must be > 0");
-  if (size_bytes == 0 || size_bytes % (ways * line_bytes) != 0) {
-    throw std::invalid_argument(name +
-                                ": size must be a multiple of ways*line_bytes");
+  if (ways == 0) refuse("ways must be > 0");
+  // ways > size / line also keeps ways * line_bytes from wrapping.
+  if (size_bytes == 0 || ways > size_bytes / line_bytes ||
+      size_bytes % (ways * line_bytes) != 0) {
+    refuse("size must be a multiple of ways*line_bytes");
   }
-  if (!is_pow2(sets())) {
-    throw std::invalid_argument(name + ": set count must be a power of two");
-  }
+  if (!is_pow2(sets())) refuse("set count must be a power of two");
   if (addr_bits < offset_bits() + set_bits() + 1 || addr_bits > 64) {
-    throw std::invalid_argument(name + ": addr_bits out of range");
+    refuse("addr_bits out of range");
   }
   if (replacement == ReplKind::kTreePlru && !is_pow2(ways)) {
-    throw std::invalid_argument(name + ": tree-PLRU requires power-of-two ways");
+    refuse("tree-PLRU requires power-of-two ways");
   }
 }
 

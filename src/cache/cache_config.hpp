@@ -79,7 +79,7 @@ struct CacheConfig {
   [[nodiscard]] u64 addr_of(u64 tag, u32 set) const noexcept;
 
   /// Validate invariants (power-of-two sizes, geometry divides evenly,
-  /// address width fits). Throws std::invalid_argument on violation.
+  /// address width fits). Throws ValueError (Errc::kRange) on violation.
   void validate() const;
 };
 

@@ -41,17 +41,4 @@ PredictorDecision Predictor::close_window(
   return d;
 }
 
-PredictorDecision Predictor::on_access(LineState& state, bool is_write,
-                                       std::span<const u8> logical) const {
-  usize raw_ones[64];
-  std::span<const usize> counts;
-  if (window_closes(state.hist)) {
-    for (usize p = 0; p < scheme_.partitions(); ++p) {
-      raw_ones[p] = detail::partition_raw_ones(scheme_, logical.data(), p);
-    }
-    counts = std::span<const usize>(raw_ones, scheme_.partitions());
-  }
-  return on_access(state.hist, state.directions, is_write, counts);
-}
-
 }  // namespace cnt

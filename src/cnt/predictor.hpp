@@ -78,11 +78,6 @@ class Predictor {
     return close_window(hist, directions, raw_ones);
   }
 
-  /// Convenience overload for per-line history (the paper's design) that
-  /// counts the partitions of the logical contents `logical` itself.
-  [[nodiscard]] PredictorDecision on_access(LineState& state, bool is_write,
-                                            std::span<const u8> logical) const;
-
   /// True when the next on_access() on `hist` closes a window, i.e. when
   /// it will read the partition counts.
   [[nodiscard]] bool window_closes(const HistoryCounters& hist) const noexcept {

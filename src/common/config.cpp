@@ -227,16 +227,6 @@ std::vector<std::string> Config::keys() const {
   return out;
 }
 
-std::vector<std::pair<std::string, std::string>> Config::unknown_keys(
-    const std::vector<std::string>& known) const {
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& [k, _] : values_) {
-    if (std::find(known.begin(), known.end(), k) != known.end()) continue;
-    out.emplace_back(k, nearest_match(k, known));
-  }
-  return out;
-}
-
 void Config::set(const std::string& key, std::string value) {
   values_[key] = std::move(value);
 }

@@ -23,7 +23,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -65,12 +64,6 @@ class Config {
 
   /// All keys, sorted (diagnostics; lets a CLI warn about unknown keys).
   [[nodiscard]] std::vector<std::string> keys() const;
-
-  /// Keys not present in `known`, each paired with the nearest known key
-  /// by edit distance ("" when nothing is close) for "did you mean"
-  /// diagnostics.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>>
-  unknown_keys(const std::vector<std::string>& known) const;
 
   void set(const std::string& key, std::string value);
 

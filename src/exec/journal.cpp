@@ -5,86 +5,16 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "sim/config_io.hpp"
 
 namespace cnt::exec {
 
 namespace {
 
-void feed_tech(Fnv1a64& h, const TechParams& t) noexcept {
-  h.update(t.name);
-  h.update(t.cell.rd0.in_joules());
-  h.update(t.cell.rd1.in_joules());
-  h.update(t.cell.wr0.in_joules());
-  h.update(t.cell.wr1.in_joules());
-  h.update(t.periph.decoder_per_addr_bit.in_joules());
-  h.update(t.periph.wordline_per_cell.in_joules());
-  h.update(t.periph.tag_compare_per_bit.in_joules());
-  h.update(t.periph.output_per_bit.in_joules());
-  h.update(t.periph.encoder_per_bit.in_joules());
-  h.update(t.periph.predictor_update.in_joules());
-  h.update(t.periph.predictor_eval_per_bit.in_joules());
-  h.update(t.periph.fifo_per_byte.in_joules());
-  h.update(t.periph.leakage_per_cell_w);
-  h.update(t.clock_ghz);
-}
-
 // The sealed-line suffix is `,"crc":"xxxxxxxx"}` -- 18 bytes.
 constexpr usize kSealSuffixLen = 18;
 
 }  // namespace
-
-u64 config_fingerprint(const SimConfig& cfg) noexcept {
-  Fnv1a64 h;
-  h.update(std::string_view("cnt-config-v1"));
-
-  const CacheConfig& c = cfg.cache;
-  h.update(c.name);
-  h.update(static_cast<u64>(c.size_bytes));
-  h.update(static_cast<u64>(c.ways));
-  h.update(static_cast<u64>(c.line_bytes));
-  h.update(static_cast<u64>(c.addr_bits));
-  h.update(static_cast<u64>(c.write_policy));
-  h.update(static_cast<u64>(c.alloc_policy));
-  h.update(static_cast<u64>(c.replacement));
-  h.update(static_cast<u64>(c.idle.idle_per_miss));
-  h.update(static_cast<u64>(c.idle.hit_idle_period));
-  h.update(c.replacement_seed);
-  h.update(c.way_prediction);
-  h.update(c.sector_writeback);
-
-  feed_tech(h, cfg.tech);
-  feed_tech(h, cfg.cmos_tech);
-
-  const CntConfig& n = cfg.cnt;
-  h.update(static_cast<u64>(n.window));
-  h.update(static_cast<u64>(n.partitions));
-  h.update(static_cast<u64>(n.fifo_depth));
-  h.update(n.delta_t);
-  h.update(static_cast<u64>(n.fill_policy));
-  h.update(static_cast<u64>(n.write_granularity));
-  h.update(static_cast<u64>(n.history_scope));
-  h.update(n.account_metadata);
-  h.update(n.flip_aware_writes);
-  h.update(n.zero_line_opt);
-
-  h.update(cfg.with_cmos);
-  h.update(cfg.with_static);
-  h.update(cfg.with_ideal);
-
-  // Fault fields are hashed only when the campaign is active, so every
-  // fingerprint minted before the fault subsystem existed -- and every
-  // fault-free sweep journal -- stays byte-identical.
-  if (cfg.fault.enabled()) {
-    h.update(std::string_view("fault"));
-    h.update(cfg.fault.stuck_per_mbit);
-    h.update(cfg.fault.stuck_at1_fraction);
-    h.update(cfg.fault.transient_per_read);
-    h.update(static_cast<u64>(cfg.fault.protection));
-    h.update(cfg.fault.protect_directions);
-    h.update(cfg.fault.seed);
-  }
-  return h.digest();
-}
 
 u64 job_key(const Job& job) noexcept {
   Fnv1a64 h;

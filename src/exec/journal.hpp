@@ -36,11 +36,6 @@ namespace cnt::exec {
 inline constexpr std::string_view kRowSchema = "cnt-exec-v2";
 inline constexpr std::string_view kHeaderSchema = "cnt-exec-journal-v1";
 
-/// Stable fingerprint of a complete SimConfig (cache geometry and
-/// policies, both technology parameter sets, the CNT policy config, and
-/// the enabled comparison policies). Platform- and run-independent.
-[[nodiscard]] u64 config_fingerprint(const SimConfig& cfg) noexcept;
-
 /// Stable identity of one job: workload, tag, scale, seed offset and the
 /// config fingerprint. Deliberately excludes the submission id so the key
 /// survives re-expansion of the same spec.

@@ -331,6 +331,24 @@ std::vector<Row> rows() {
                  {"-", "cnt.window", "3", "zipf_kv", "0.02", "--josnl",
                   "x.jsonl"},
                  2, "", "unknown option '--josnl'"});
+  out.push_back({"cnt_sweep_misspelt_key", "examples/cnt_sweep",
+                 {"-", "cnt.windw", "3,15", "stream_copy", "0.02"}, 2, "",
+                 "cnt_sweep: unknown config key 'cnt.windw' (did you mean "
+                 "'cnt.window'?)"});
+  out.push_back({"cnt_sweep_policies_key", "examples/cnt_sweep",
+                 {"-", "policies.cmos", "true", "stream_copy", "0.02"}, 2, "",
+                 "cannot sweep 'policies.cmos'"});
+  out.push_back({"cnt_sweep_base_unknown_key", "examples/cnt_sweep",
+                 {"cnt.window", "3", "stream_copy", "0.02"}, 0,
+                 "sweep over cnt.window",
+                 "warning: unknown config key 'cnt.windw' (did you mean "
+                 "'cnt.window'?)",
+                 "[cnt]\nwindw = 7\n"});
+  out.push_back({"cnt_sim_u32_would_wrap", "examples/cnt_sim",
+                 {"zipf_kv", "0.02"}, 1, "",
+                 "key 'cache.idle_per_miss' has out-of-range value "
+                 "'4294967297'",
+                 "[cache]\nidle_per_miss = 4294967297\n"});
   out.push_back({"cnt_sweep_jobs_zero", "examples/cnt_sweep",
                  {"-", "cnt.window", "3", "zipf_kv", "0.02", "--jobs", "0"},
                  2, "", "--jobs wants a whole number >= 1"});

@@ -16,6 +16,7 @@
 #include "common/json.hpp"
 #include "exec/journal.hpp"
 #include "fault/fault_config.hpp"
+#include "sim/config_io.hpp"
 #include "trace/trace_io.hpp"
 #include "scratch_dir.hpp"
 
@@ -163,6 +164,33 @@ TEST(GoldenFaultConfig, NegativeDensityAndBadFractionNameTheirKeys) {
               "key 'fault.stuck_at1' has out-of-range value '2'");
     EXPECT_EQ(e.info().hint, "use a fraction in [0, 1]");
   }
+}
+
+/// The single-line rendering of sim_config_from's refusal of `ini`.
+std::string sim_config_refusal(const std::string& ini) {
+  try {
+    (void)sim_config_from(Config::parse_string(ini));
+  } catch (const ValueError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(GoldenSimConfig, BadEnumListsItsChoices) {
+  EXPECT_EQ(sim_config_refusal("[cache]\nreplacement = mru\n"),
+            "[value] key 'cache.replacement' has unknown value 'mru' -- "
+            "hint: use one of lru/plru/tree-plru/fifo/random");
+}
+
+TEST(GoldenSimConfig, U32KeyThatWouldWrapIsOutOfRange) {
+  EXPECT_EQ(sim_config_refusal("[cache]\naddr_bits = 4294967336\n"),
+            "[range] key 'cache.addr_bits' has out-of-range value "
+            "'4294967336' -- hint: use at most 4294967295");
+}
+
+TEST(GoldenSimConfig, BadGeometryKeepsItsText) {
+  EXPECT_EQ(sim_config_refusal("[cache]\nsize = 1000\n"),
+            "[range] L1D: size must be a multiple of ways*line_bytes");
 }
 
 TEST(GoldenIo, InjectedEnospcRendersWhatWhereAndHint) {

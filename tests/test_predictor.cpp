@@ -15,6 +15,14 @@ Predictor make_predictor(usize window = 15, usize k = 8) {
   return Predictor(kCnfet, PartitionScheme(64, k), window);
 }
 
+/// One access to a line holding `line`, fed as CntPolicy feeds it: the
+/// line's history counters, its directions and its raw partition counts.
+PredictorDecision access(const Predictor& p, LineState& st, bool is_write,
+                         const std::vector<u8>& line) {
+  return p.on_access(st.hist, st.directions, is_write,
+                     partition_ones(p.scheme(), line));
+}
+
 TEST(Predictor, HistoryBitsMatchPaper) {
   // W=15: two 4-bit counters -> 8 history bits ("2*log2(W)").
   EXPECT_EQ(make_predictor(15).history_bits(), 8u);
@@ -27,11 +35,11 @@ TEST(Predictor, NoDecisionBeforeWindowCompletes) {
   LineState st;
   std::vector<u8> line(64, 0);
   for (int i = 0; i < 14; ++i) {
-    const auto d = p.on_access(st, false, line);
+    const auto d = access(p, st, false, line);
     EXPECT_FALSE(d.window_completed);
   }
   EXPECT_EQ(st.hist.a_num, 14);
-  const auto d = p.on_access(st, false, line);
+  const auto d = access(p, st, false, line);
   EXPECT_TRUE(d.window_completed);
   EXPECT_EQ(st.hist.a_num, 0);  // counters reset at the boundary
   EXPECT_EQ(st.hist.wr_num, 0);
@@ -41,8 +49,8 @@ TEST(Predictor, CountsWritesSeparately) {
   const auto p = make_predictor(10);
   LineState st;
   std::vector<u8> line(64, 0);
-  for (int i = 0; i < 6; ++i) (void)p.on_access(st, false, line);
-  for (int i = 0; i < 3; ++i) (void)p.on_access(st, true, line);
+  for (int i = 0; i < 6; ++i) (void)access(p, st, false, line);
+  for (int i = 0; i < 3; ++i) (void)access(p, st, true, line);
   EXPECT_EQ(st.hist.a_num, 9);
   EXPECT_EQ(st.hist.wr_num, 3);
 }
@@ -54,7 +62,7 @@ TEST(Predictor, ReadOnlyZeroLineFlipsAllPartitions) {
   LineState st;
   std::vector<u8> line(64, 0);
   PredictorDecision last;
-  for (int i = 0; i < 15; ++i) last = p.on_access(st, false, line);
+  for (int i = 0; i < 15; ++i) last = access(p, st, false, line);
   ASSERT_TRUE(last.window_completed);
   EXPECT_FALSE(last.write_intensive);
   EXPECT_TRUE(last.switch_requested);
@@ -68,7 +76,7 @@ TEST(Predictor, WriteOnlyZeroLineKeepsEncoding) {
   LineState st;
   std::vector<u8> line(64, 0);
   PredictorDecision last;
-  for (int i = 0; i < 15; ++i) last = p.on_access(st, true, line);
+  for (int i = 0; i < 15; ++i) last = access(p, st, true, line);
   ASSERT_TRUE(last.window_completed);
   EXPECT_TRUE(last.write_intensive);
   EXPECT_FALSE(last.switch_requested);
@@ -83,7 +91,7 @@ TEST(Predictor, RespectsExistingDirections) {
   st.directions = 0xFF;
   std::vector<u8> line(64, 0);
   PredictorDecision last;
-  for (int i = 0; i < 15; ++i) last = p.on_access(st, false, line);
+  for (int i = 0; i < 15; ++i) last = access(p, st, false, line);
   ASSERT_TRUE(last.window_completed);
   EXPECT_FALSE(last.switch_requested);
   EXPECT_EQ(last.new_directions, 0xFFu);
@@ -97,7 +105,7 @@ TEST(Predictor, MixedLineFlipsOnlyPoorPartitions) {
   std::vector<u8> line(64, 0);
   for (usize i = 0; i < 8; ++i) line[i] = 0xFF;
   PredictorDecision last;
-  for (int i = 0; i < 15; ++i) last = p.on_access(st, false, line);
+  for (int i = 0; i < 15; ++i) last = access(p, st, false, line);
   ASSERT_TRUE(last.window_completed);
   EXPECT_EQ(last.new_directions, 0xFEu);
   EXPECT_EQ(last.partitions_flipped, 7u);
@@ -115,8 +123,8 @@ TEST(Predictor, PartitionedBeatsWholeLineOnMixedData) {
   const auto p8 = make_predictor(15, 8);
   PredictorDecision d1, d8;
   for (int i = 0; i < 15; ++i) {
-    d1 = p1.on_access(st1, false, line);
-    d8 = p8.on_access(st8, false, line);
+    d1 = access(p1, st1, false, line);
+    d8 = access(p8, st8, false, line);
   }
   // Whole-line: the line has exactly half ones; no switch is profitable.
   EXPECT_FALSE(d1.switch_requested);
@@ -130,7 +138,7 @@ TEST(Predictor, WindowOfOneFiresEveryAccess) {
   LineState st;
   std::vector<u8> line(64, 0);
   for (int i = 0; i < 5; ++i) {
-    const auto d = p.on_access(st, false, line);
+    const auto d = access(p, st, false, line);
     EXPECT_TRUE(d.window_completed);
   }
 }
@@ -144,8 +152,8 @@ TEST(Predictor, DeterministicAcrossIdenticalRuns) {
   LineState a, b2;
   for (int i = 0; i < 45; ++i) {
     const bool w = (i % 3) == 0;
-    const auto da = p.on_access(a, w, line);
-    const auto db = p.on_access(b2, w, line);
+    const auto da = access(p, a, w, line);
+    const auto db = access(p, b2, w, line);
     EXPECT_EQ(da.window_completed, db.window_completed);
     EXPECT_EQ(da.new_directions, db.new_directions);
   }

@@ -10,6 +10,7 @@
 #include "common/hash.hpp"
 #include "common/json.hpp"
 #include "exec/journal.hpp"
+#include "sim/config_io.hpp"
 #include "trace/stream/stream_reader.hpp"
 #include "trace/trace_io.hpp"
 
@@ -133,7 +134,7 @@ FuzzOutcome classify(FuzzTarget t, const std::string& input) {
     switch (t) {
       case FuzzTarget::kIni: {
         std::istringstream is(input);
-        (void)Config::parse(is, "fuzz", kFuzzLimits);
+        (void)sim_config_from(Config::parse(is, "fuzz", kFuzzLimits));
         break;
       }
       case FuzzTarget::kTraceText: {

@@ -32,7 +32,7 @@ namespace cnt::fuzz {
 /// value is part of its test id, so a retired target leaves a gap (2 was
 /// the CNTTRC01 binary trace reader) instead of renumbering the rest.
 enum class FuzzTarget : u8 {
-  kIni = 0,          ///< Config::parse (INI)
+  kIni = 0,          ///< Config::parse, then sim_config_from (INI)
   kTraceText = 1,    ///< read_text (text trace)
   kJournal = 3,      ///< exec::read_journal (sealed JSONL journal)
   kJsonl = 4,        ///< parse_json per line (telemetry rows)
