@@ -176,10 +176,11 @@ u32 Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
     } else {
       if (fault_hook_ != nullptr) {
         // The demand read senses the array: faults manifest here, and
-        // whatever the protection scheme misses is what the CPU gets. A
-        // read that saw no flip left the bytes as they were.
+        // whatever the protection scheme misses is what the CPU gets.
+        // Corrected and detected flips are repaired in place, so only a
+        // silent flip leaves the bytes changed.
         ev.fault.add(fault_hook_->on_read(set, w, stored));
-        changed = ev.fault.flips != 0;
+        changed = ev.fault.silent != 0;
       }
       ++stats_.read_hits;
       ev.kind = AccessKind::kReadHit;
@@ -238,10 +239,10 @@ u32 Cache::access_impl(u64 addr, MemOp op, u32 offset, u8 size, u64 value,
       std::memcpy(scratch_before_.data(), stored.data(), line_bytes_);
       before = scratch_before_;
       // The fill below reuses the victim's profile slot, so its profile
-      // moves to ones_before_ first. A victim read that flipped bits
+      // moves to ones_before_ first. A victim read with silent flips
       // changed the bytes, which the fill's new version then covers.
       if (!sinks_.empty()) {
-        if (ev.fault.flips != 0) {
+        if (ev.fault.silent != 0) {
           fill_ones_profile(before, ones_before_.data());
         } else {
           std::memcpy(ones_before_.data(), profile_of(li), profile_words_);

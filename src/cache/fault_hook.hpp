@@ -35,8 +35,9 @@ class LineFaultHook {
   /// reassert stuck cells, sample transient flips, run the protection
   /// scheme, and repair `stored` where the scheme corrects or detects
   /// (detection recovers via refetch). Silent flips stay in `stored`. A
-  /// read that reports no flip must leave `stored` unchanged: the cache
-  /// keeps the line's version (AccessEvent::line_version) across it.
+  /// read that reports no silent flip must leave `stored` as it was
+  /// before the read: the cache keeps the line's version
+  /// (AccessEvent::line_version) and ones profile across it.
   virtual LineFaultReport on_read(u32 set, u32 way, std::span<u8> stored) = 0;
 };
 

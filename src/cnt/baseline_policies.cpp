@@ -1,32 +1,98 @@
 #include "cnt/baseline_policies.hpp"
 
 #include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "energy/sram_cell.hpp"
 
 namespace cnt {
 
-void PlainPolicy::on_access(const AccessEvent& ev) {
-  charge_decode();
-  charge_tag_lookup(ev);
-  charge_ecc(ev);
+ComparatorPolicy::ComparatorPolicy(std::string name, const TechParams& tech,
+                                   const ArrayGeometry& geom,
+                                   WriteGranularity wg, FieldStore store,
+                                   usize partitions)
+    : EnergyPolicyBase(std::move(name), tech, geom, wg),
+      encoder_line_(static_cast<double>(geom.line_bits()) *
+                    tech.periph.encoder_per_bit),
+      encodes_(store == FieldStore::kInverted),
+      store_(store),
+      scheme_(geom.line_bytes, partitions),
+      field_(tech.cell, scheme_.partition_bits(), store),
+      word_(tech.cell, 64, store),
+      read_memo_(partitions > 1 ? geom.lines() : 0) {
+  if (partitions == 1) line_read_ = field_.read_table();
+}
+
+// Defined ahead of the pass, so that a one-partition write is inlined
+// into it.
+inline Energy ComparatorPolicy::piece_write(usize width, usize ones) const {
+  if (width == scheme_.partition_bits()) return field_.write(ones);
+  if (width == 64) return word_.write(ones);  // a whole 64-bit store
+  const BitEnergies& e = tech_.cell;
+  return stored_energy(
+      [&e](usize w, usize n) { return write_energy_counts(e, w, n); }, width,
+      ones, store_);
+}
+
+inline Energy ComparatorPolicy::write_cost(const AccessEvent& ev,
+                                           usize bit_lo, usize bit_hi,
+                                           usize ones) const {
+  // One partition: the whole range is one piece (and no division).
+  if (line_read_ != nullptr) return piece_write(bit_hi - bit_lo, ones);
+  return partitioned_write(ev, bit_lo, bit_hi, ones);
+}
+
+// cnt-hot
+// Forced inline: each instantiation has one caller, and a call per event
+// costs more than the pass itself when it has one member.
+template <usize kTechs, usize kLanes>
+[[gnu::always_inline]] inline void ComparatorPolicy::price(
+    const AccessEvent& ev, std::span<const Peripherals, kTechs> techs,
+    std::span<const Lane, kLanes> lanes) {
+  const ComparatorPolicy& first = *lanes.front().policy;
+  const usize line_bits = first.array_.geometry().line_bits();
+  for (const Peripherals& t : techs) {
+    t.pricer->charge_decode(*t.ledger);
+    t.pricer->charge_tag_lookup(*t.ledger, ev);
+    t.pricer->charge_ecc(*t.ledger, ev);
+  }
 
   switch (ev.kind) {
-    case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead,
-                     line_energy_.read(ev.ones_after_total));
-      charge_output(transfer_bits(ev));
+    case AccessKind::kReadHit: {
+      for (const Lane& l : lanes) {
+        l.ledger->charge(EnergyCategory::kDataRead,
+                         l.line_read != nullptr
+                             ? l.line_read[ev.ones_after_total]
+                             : l.policy->partitioned_read(ev));
+        if (l.encodes) {
+          l.ledger->charge(EnergyCategory::kEncoderLogic, l.encoder_line);
+        }
+      }
+      const usize bits = first.transfer_bits(ev);
+      for (const Peripherals& t : techs) {
+        t.pricer->charge_output(*t.ledger, bits);
+      }
       break;
+    }
 
     case AccessKind::kWriteHit: {
-      const auto [lo, hi] = written_bit_range(ev);
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     write_energy_counts(tech_.cell, hi - lo,
-                                         profile_ones_range(ev.line_after,
-                                                            ev.ones_after, lo,
-                                                            hi)));
-      charge_output(transfer_bits(ev));
+      const auto [lo, hi] = first.written_bit_range(ev);
+      const usize ones =
+          profile_ones_range(ev.line_after, ev.ones_after, lo, hi);
+      for (const Lane& l : lanes) {
+        l.ledger->charge(EnergyCategory::kDataWrite,
+                         l.policy->write_cost(ev, lo, hi, ones));
+        if (l.encodes) {
+          l.ledger->charge(EnergyCategory::kEncoderLogic, l.encoder_line);
+        }
+      }
+      const usize bits = first.transfer_bits(ev);
+      for (const Peripherals& t : techs) {
+        t.pricer->charge_output(*t.ledger, bits);
+      }
       break;
     }
 
@@ -35,22 +101,44 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
       if (ev.evicted_valid && ev.evicted_dirty) {
         // Writeback: a second array operation reads the victim's dirty
         // words out (all words unless sectored writebacks are on).
-        charge_decode();
-        Energy rd{};
+        std::array<u8, 64> dirty_ones;  // the mask covers <= 64 words
+        usize dirty_words = 0;
         usize dirty_bits = 0;
-        for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          rd += word_energy_.read(ev.ones_before[lo / 64]);
+        first.for_each_dirty_word(ev, [&](usize lo, usize hi) {
+          dirty_ones[dirty_words++] = ev.ones_before[lo / 64];
           dirty_bits += hi - lo;
         });
-        ledger_.charge(EnergyCategory::kDataRead, rd);
-        charge_output(dirty_bits);
+        for (const Lane& l : lanes) {
+          Energy rd{};
+          for (usize w = 0; w < dirty_words; ++w) {
+            rd += l.policy->word_.read(dirty_ones[w]);
+          }
+          l.ledger->charge(EnergyCategory::kDataRead, rd);
+          if (l.encodes) {
+            l.ledger->charge(EnergyCategory::kEncoderLogic,
+                             static_cast<double>(dirty_bits) *
+                                 l.policy->tech_.periph.encoder_per_bit);
+          }
+        }
+        for (const Peripherals& t : techs) {
+          t.pricer->charge_decode(*t.ledger);
+          t.pricer->charge_output(*t.ledger, dirty_bits);
+        }
       }
       // Fill write (a second/third array operation).
-      charge_decode();
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     line_energy_.write(ev.ones_after_total));
-      charge_tag_write(ev);
-      charge_output(array_.geometry().line_bits());
+      for (const Lane& l : lanes) {
+        l.ledger->charge(
+            EnergyCategory::kDataWrite,
+            l.policy->write_cost(ev, 0, line_bits, ev.ones_after_total));
+        if (l.encodes) {
+          l.ledger->charge(EnergyCategory::kEncoderLogic, l.encoder_line);
+        }
+      }
+      for (const Peripherals& t : techs) {
+        t.pricer->charge_decode(*t.ledger);
+        t.pricer->charge_tag_write(*t.ledger, ev);
+        t.pricer->charge_output(*t.ledger, line_bits);
+      }
       break;
     }
 
@@ -60,172 +148,93 @@ void PlainPolicy::on_access(const AccessEvent& ev) {
   }
 }
 
-void StaticInvertPolicy::on_access(const AccessEvent& ev) {
-  charge_decode();
-  charge_tag_lookup(ev);
-  charge_ecc(ev);
+void ComparatorPolicy::on_access(const AccessEvent& ev) {
+  const Peripherals self{this, &ledger_};
+  const Lane me = lane();
+  price(ev, std::span<const Peripherals, 1>(&self, 1),
+        std::span<const Lane, 1>(&me, 1));
+}
 
-  const usize line_bits = array_.geometry().line_bits();
-  // Stored image is the complement: stored ones = L - logical ones.
-  const usize inv_ones = line_bits - ev.ones_after_total;
-
-  switch (ev.kind) {
-    case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead, line_energy_.read(inv_ones));
-      ledger_.charge(EnergyCategory::kEncoderLogic,
-                     static_cast<double>(line_bits) *
-                         tech_.periph.encoder_per_bit);
-      charge_output(transfer_bits(ev));
-      break;
-
-    case AccessKind::kWriteHit: {
-      const auto [lo, hi] = written_bit_range(ev);
-      const usize ones =
-          (hi - lo) - profile_ones_range(ev.line_after, ev.ones_after, lo, hi);
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     write_energy_counts(tech_.cell, hi - lo, ones));
-      ledger_.charge(EnergyCategory::kEncoderLogic,
-                     static_cast<double>(line_bits) *
-                         tech_.periph.encoder_per_bit);
-      charge_output(transfer_bits(ev));
-      break;
+Energy ComparatorPolicy::partitioned_read(const AccessEvent& ev) {
+  const auto best_read = [&] {
+    Energy total{};
+    for (usize p = 0; p < scheme_.partitions(); ++p) {
+      total += field_.read(
+          profile_partition_ones(scheme_, ev.line_after, ev.ones_after, p));
     }
-
-    case AccessKind::kReadMissFill:
-    case AccessKind::kWriteMissFill: {
-      if (ev.evicted_valid && ev.evicted_dirty) {
-        charge_decode();
-        Energy rd{};
-        usize dirty_bits = 0;
-        for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          rd += word_energy_.read((hi - lo) - ev.ones_before[lo / 64]);
-          dirty_bits += hi - lo;
-        });
-        ledger_.charge(EnergyCategory::kDataRead, rd);
-        ledger_.charge(EnergyCategory::kEncoderLogic,
-                       static_cast<double>(dirty_bits) *
-                           tech_.periph.encoder_per_bit);
-        charge_output(dirty_bits);
-      }
-      charge_decode();
-      ledger_.charge(EnergyCategory::kDataWrite, line_energy_.write(inv_ones));
-      ledger_.charge(EnergyCategory::kEncoderLogic,
-                     static_cast<double>(line_bits) *
-                         tech_.periph.encoder_per_bit);
-      charge_tag_write(ev);
-      charge_output(line_bits);
-      break;
-    }
-
-    case AccessKind::kWriteAround:
-      break;
-  }
-}
-
-IdealPolicy::MinEnergyByOnes::MinEnergyByOnes(const BitEnergies& e,
-                                              usize width)
-    : read_(width + 1), write_(width + 1) {
-  for (usize ones = 0; ones <= width; ++ones) {
-    read_[ones] = std::min(read_energy_counts(e, width, ones),
-                           read_energy_counts(e, width, width - ones));
-    write_[ones] = std::min(write_energy_counts(e, width, ones),
-                            write_energy_counts(e, width, width - ones));
-  }
-}
-
-IdealPolicy::IdealPolicy(std::string name, const TechParams& tech,
-                         const ArrayGeometry& geom, usize partitions,
-                         WriteGranularity wg)
-    : EnergyPolicyBase(std::move(name), tech, geom, wg),
-      scheme_(geom.line_bytes, partitions),
-      part_min_(tech.cell, scheme_.partition_bits()),
-      word_min_(tech.cell, 64),
-      read_memo_(geom.lines()) {}
-
-Energy IdealPolicy::best_read(const AccessEvent& ev) const {
-  Energy total{};
-  for (usize p = 0; p < scheme_.partitions(); ++p) {
-    total += part_min_.read(
-        profile_partition_ones(scheme_, ev.line_after, ev.ones_after, p));
-  }
-  return total;
-}
-
-Energy IdealPolicy::read_cost(const AccessEvent& ev) {
+    return total;
+  };
   // A fill or a store gives the line a new version, so a memo keyed on
   // the version needs no invalidation.
-  if (ev.line_version == 0) return best_read(ev);
+  if (ev.line_version == 0) return best_read();
   ReadMemo& memo =
       read_memo_[static_cast<usize>(ev.set) * array_.geometry().ways + ev.way];
   if (memo.version != ev.line_version) {
     memo.version = ev.line_version;
-    memo.cost = best_read(ev);
+    memo.cost = best_read();
   }
   return memo.cost;
 }
 
-Energy IdealPolicy::best_write(const AccessEvent& ev, usize bit_lo,
-                               usize bit_hi) const {
-  Energy total{};
+Energy ComparatorPolicy::partitioned_write(const AccessEvent& ev,
+                                           usize bit_lo, usize bit_hi,
+                                           usize ones) const {
   const usize pb = scheme_.partition_bits();
+  const usize first_p = bit_lo / pb;
   const usize last_p = (bit_hi + pb - 1) / pb;
-  for (usize p = bit_lo / pb; p < last_p; ++p) {
+  if (last_p - first_p == 1) return piece_write(bit_hi - bit_lo, ones);
+  Energy total{};
+  for (usize p = first_p; p < last_p; ++p) {
     const usize lo = std::max(bit_lo, scheme_.bit_begin(p));
     const usize hi = std::min(bit_hi, scheme_.bit_end(p));
-    const usize width = hi - lo;
-    const usize ones = profile_ones_range(ev.line_after, ev.ones_after, lo, hi);
-    if (width == pb) {
-      total += part_min_.write(ones);
-    } else {
-      total += std::min(write_energy_counts(tech_.cell, width, ones),
-                        write_energy_counts(tech_.cell, width, width - ones));
-    }
+    total += piece_write(
+        hi - lo, profile_ones_range(ev.line_after, ev.ones_after, lo, hi));
   }
   return total;
 }
 
-void IdealPolicy::on_access(const AccessEvent& ev) {
-  charge_decode();
-  charge_tag_lookup(ev);
-  charge_ecc(ev);
-
-  switch (ev.kind) {
-    case AccessKind::kReadHit:
-      ledger_.charge(EnergyCategory::kDataRead, read_cost(ev));
-      charge_output(transfer_bits(ev));
-      break;
-
-    case AccessKind::kWriteHit: {
-      const auto [lo, hi] = written_bit_range(ev);
-      ledger_.charge(EnergyCategory::kDataWrite, best_write(ev, lo, hi));
-      charge_output(transfer_bits(ev));
-      break;
+void ComparatorSink::add(std::unique_ptr<ComparatorPolicy> p) {
+  if (!owned_.empty()) {
+    const ComparatorPolicy& first = *owned_.front();
+    if (p->write_granularity() != first.write_granularity() ||
+        p->array().geometry() != first.array().geometry() ||
+        p->protection() != first.protection()) {
+      throw std::invalid_argument(
+          "ComparatorSink: comparators must share one geometry, write "
+          "granularity and protection");
     }
-
-    case AccessKind::kReadMissFill:
-    case AccessKind::kWriteMissFill: {
-      if (ev.evicted_valid && ev.evicted_dirty) {
-        charge_decode();
-        Energy rd{};
-        usize dirty_bits = 0;
-        for_each_dirty_word(ev, [&](usize lo, usize hi) {
-          rd += word_min_.read(ev.ones_before[lo / 64]);
-          dirty_bits += hi - lo;
-        });
-        ledger_.charge(EnergyCategory::kDataRead, rd);
-        charge_output(dirty_bits);
-      }
-      charge_decode();
-      ledger_.charge(EnergyCategory::kDataWrite,
-                     best_write(ev, 0, array_.geometry().line_bits()));
-      charge_tag_write(ev);
-      charge_output(array_.geometry().line_bits());
-      break;
-    }
-
-    case AccessKind::kWriteAround:
-      break;
   }
+  // With geometry and protection shared, the technology alone decides
+  // the peripheral charges.
+  usize t = 0;
+  while (t < techs_.size() && techs_[t].pricer->tech() != p->tech()) ++t;
+  if (t == techs_.size()) {
+    techs_.push_back({p.get(), nullptr});
+    periph_.emplace_back();
+  }
+  tech_of_.push_back(t);
+  lanes_.push_back(p->lane());
+  owned_.push_back(std::move(p));
+  // A technology with one comparator charges its peripherals into that
+  // comparator's own ledger, a shared one into periph_ (which growing
+  // may have moved: repoint every one).
+  for (usize k = 0; k < techs_.size(); ++k) {
+    techs_[k].ledger = std::ranges::count(tech_of_, k) > 1
+                           ? &periph_[k]
+                           : &techs_[k].pricer->ledger_;
+  }
+}
+
+// cnt-hot
+void ComparatorSink::on_access(const AccessEvent& ev) {
+  ComparatorPolicy::price(ev, std::span(std::as_const(techs_)),
+                          std::span(std::as_const(lanes_)));
+}
+
+EnergyLedger ComparatorSink::ledger(usize i) const {
+  EnergyLedger out = owned_[i]->ledger();
+  out.merge(periph_[tech_of_[i]]);
+  return out;
 }
 
 }  // namespace cnt

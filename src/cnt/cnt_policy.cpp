@@ -115,10 +115,11 @@ const LineState& CntPolicy::line_state(u32 set, u32 way) const {
   return states_[static_cast<usize>(set) * ways_ + way];
 }
 
+// cnt-hot
 void CntPolicy::on_access(const AccessEvent& ev) {
-  charge_decode();
-  charge_tag_lookup(ev);
-  charge_ecc(ev);
+  charge_decode(ledger_);
+  charge_tag_lookup(ledger_, ev);
+  charge_ecc(ledger_, ev);
 
   switch (ev.kind) {
     case AccessKind::kReadHit:
@@ -166,7 +167,7 @@ void CntPolicy::handle_hit(const AccessEvent& ev, bool is_write) {
     ledger_.charge(EnergyCategory::kDataRead, read_cost(ev, st, dirs));
   }
   charge_encoder_pass();
-  charge_output(transfer_bits(ev));
+  charge_output(ledger_, transfer_bits(ev));
 
   run_predictor(ev, st, is_write);
 }
@@ -179,7 +180,7 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
   // zero-flagged victim never touches the data array; its zeros are
   // synthesized at the interface.
   if (ev.evicted_valid && ev.evicted_dirty) {
-    charge_decode();
+    charge_decode(ledger_);
     charge_meta_read(history_of(ev.set, st), st.directions);
     const u64 dirs = effective_directions(ev.set, ev.way, st.directions);
     if (!(cfg_.zero_line_opt && st.zero_flag)) {
@@ -196,9 +197,9 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
       ledger_.charge(EnergyCategory::kEncoderLogic,
                      static_cast<double>(dirty_bits) *
                          tech_.periph.encoder_per_bit);
-      charge_output(dirty_bits);
+      charge_output(ledger_, dirty_bits);
     } else {
-      charge_output(array_.geometry().line_bits());
+      charge_output(ledger_, array_.geometry().line_bits());
     }
   }
 
@@ -218,8 +219,8 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
     st.directions = 0;
     note_directions_written(ev.set, ev.way, st.directions);
     charge_meta_full_write(history_of(ev.set, st), st.directions);
-    charge_tag_write(ev);
-    charge_output(array_.geometry().line_bits());
+    charge_tag_write(ledger_, ev);
+    charge_output(ledger_, array_.geometry().line_bits());
     return;
   }
 
@@ -230,12 +231,12 @@ void CntPolicy::handle_fill(const AccessEvent& ev) {
       ev.kind == AccessKind::kWriteMissFill, st.directions);
   note_directions_written(ev.set, ev.way, st.directions);
 
-  charge_decode();
+  charge_decode(ledger_);
   ledger_.charge(EnergyCategory::kDataWrite, fill_cost);
   charge_encoder_pass();
   charge_meta_full_write(history_of(ev.set, st), st.directions);
-  charge_tag_write(ev);
-  charge_output(array_.geometry().line_bits());
+  charge_tag_write(ledger_, ev);
+  charge_output(ledger_, array_.geometry().line_bits());
 }
 
 bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
@@ -247,7 +248,7 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
       st.zero_flag = true;
       ++stats_.zero_fills;
       charge_meta_history_write(history_of(ev.set, st));  // flag + counters
-      charge_output(transfer_bits(ev));
+      charge_output(ledger_, transfer_bits(ev));
       return true;
     }
     return false;
@@ -256,13 +257,13 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
   if (!is_write) {
     // Read of a flagged line: served entirely from the flag.
     ++stats_.zero_reads;
-    charge_output(transfer_bits(ev));
+    charge_output(ledger_, transfer_bits(ev));
     return true;
   }
 
   if (ev.ones_after_total == 0) {
     // Still all-zero after the store: nothing to materialize.
-    charge_output(transfer_bits(ev));
+    charge_output(ledger_, transfer_bits(ev));
     return true;
   }
 
@@ -278,11 +279,11 @@ bool CntPolicy::handle_zero_line(const AccessEvent& ev, LineState& st,
       std::span<const usize>(raw_ones, predictor_.scheme().partitions()),
       st.write_filled, st.directions);
   note_directions_written(ev.set, ev.way, st.directions);
-  charge_decode();
+  charge_decode(ledger_);
   ledger_.charge(EnergyCategory::kDataWrite, materialize_cost);
   charge_encoder_pass();
   charge_meta_full_write(history_of(ev.set, st), st.directions);
-  charge_output(transfer_bits(ev));
+  charge_output(ledger_, transfer_bits(ev));
   return true;
 }
 
@@ -479,7 +480,7 @@ Energy CntPolicy::flip_aware_write_cost(std::span<const u8> before,
 u64 CntPolicy::effective_directions(u32 set, u32 way, u64 logical) {
   if (dir_hook_ == nullptr) return logical;
   const DirectionFaultHook::DirRead dr = dir_hook_->read_directions(set, way);
-  charge_ecc_events(dr.report);
+  charge_ecc_events(ledger_, dr.report);
   return dr.effective;
 }
 
@@ -516,7 +517,7 @@ void CntPolicy::drain(u32 slots) {
     note_directions_written(req->set, req->way, st.directions);
     // A re-encode rewrites flipped partitions, so the protection check
     // bits are regenerated and rewritten with them.
-    charge_ecc_write();
+    charge_ecc_write(ledger_);
     st.pending = false;
     ++stats_.reencodes_applied;
     stats_.partition_flips_applied += req->partitions_flipped;

@@ -1,11 +1,17 @@
 // Shared machinery for energy-accounting policies (AccessSink adapters).
 //
 // A policy observes the functional cache's access events and charges an
-// EnergyLedger according to its storage scheme. All policies charge the
-// same peripheral costs (decode, tag, output) through the helpers here, so
-// differences between ledgers isolate the data-array encoding effects.
+// EnergyLedger according to its storage scheme. Every policy prices the
+// same peripheral costs (decode, tag, output, protection) through the
+// helpers here, so differences between ledgers isolate the data-array
+// encoding effects. The helpers charge the ledger they are handed: the
+// CNT policy hands its own, while the comparator pass
+// (cnt/baseline_policies.hpp) charges peripherals once per technology,
+// into a ledger that the comparators of that technology share and each
+// one's result merges in.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,33 +101,33 @@ class EnergyPolicyBase : public AccessSink {
   }
 
   /// Row decode + wordline for one array operation.
-  void charge_decode() {
-    ledger_.charge(EnergyCategory::kDecode, array_.decode_energy());
+  void charge_decode(EnergyLedger& to) const {
+    to.charge(EnergyCategory::kDecode, array_.decode_energy());
   }
 
   /// Tag-side lookup for this access. A full-set probe is priced from
   /// the per-ones table (the same doubles the formula gives); a
   /// way-predicted one-way probe runs the formula.
-  void charge_tag_lookup(const AccessEvent& ev) {
-    ledger_.charge(EnergyCategory::kTagRead,
-                   ev.tag_bits_read == set_tag_bits_
-                       ? set_tag_lookup_[ev.tag_ones_read]
-                       : array_.tag_lookup_energy(ev.tag_bits_read,
-                                                  ev.tag_ones_read));
+  void charge_tag_lookup(EnergyLedger& to, const AccessEvent& ev) const {
+    to.charge(EnergyCategory::kTagRead,
+              ev.tag_bits_read == set_tag_bits_
+                  ? set_tag_lookup_[ev.tag_ones_read]
+                  : array_.tag_lookup_energy(ev.tag_bits_read,
+                                             ev.tag_ones_read));
   }
 
   /// Tag write on a fill.
-  void charge_tag_write(const AccessEvent& ev) {
+  void charge_tag_write(EnergyLedger& to, const AccessEvent& ev) const {
     if (ev.tag_bits_written != 0) {
-      ledger_.charge(EnergyCategory::kTagWrite,
-                     array_.tag_write_energy(ev.tag_bits_written,
-                                             ev.tag_ones_written));
+      to.charge(EnergyCategory::kTagWrite,
+                array_.tag_write_energy(ev.tag_bits_written,
+                                        ev.tag_ones_written));
     }
   }
 
   /// IO drivers for `bits` transferred.
-  void charge_output(usize bits) {
-    ledger_.charge(EnergyCategory::kOutput, array_.output_energy(bits));
+  void charge_output(EnergyLedger& to, usize bits) const {
+    to.charge(EnergyCategory::kOutput, array_.output_energy(bits));
   }
 
   /// Bits moved to/from the CPU for this access (the word, or the whole
@@ -140,28 +146,28 @@ class EnergyPolicyBase : public AccessSink {
   // check field).
 
   /// Checker pass + check-bit read for one protected array read.
-  void charge_ecc_read() {
+  void charge_ecc_read(EnergyLedger& to) const {
     if (!prot_.enabled()) return;
-    ledger_.charge(EnergyCategory::kEccStorage, ecc_read_storage_);
-    ledger_.charge(EnergyCategory::kEccLogic, ecc_check_logic_);
+    to.charge(EnergyCategory::kEccStorage, ecc_read_storage_);
+    to.charge(EnergyCategory::kEccLogic, ecc_check_logic_);
   }
 
   /// Check-bit regeneration + write for one protected array write.
-  void charge_ecc_write() {
+  void charge_ecc_write(EnergyLedger& to) const {
     if (!prot_.enabled()) return;
-    ledger_.charge(EnergyCategory::kEccStorage, ecc_write_storage_);
-    ledger_.charge(EnergyCategory::kEccLogic, ecc_check_logic_);
+    to.charge(EnergyCategory::kEccStorage, ecc_write_storage_);
+    to.charge(EnergyCategory::kEccLogic, ecc_check_logic_);
   }
 
   /// Correction-path events reported by the fault campaign for this
   /// access (corrected bits + detections both drive the syndrome decoder).
-  void charge_ecc_events(const LineFaultReport& rep) {
+  void charge_ecc_events(EnergyLedger& to, const LineFaultReport& rep) const {
     if (!prot_.enabled()) return;
     const u32 events = rep.corrected + rep.detected;
     if (events == 0) return;
-    ledger_.charge(EnergyCategory::kEccLogic,
-                   tech_.periph.ecc_correct_per_event *
-                       static_cast<double>(events));
+    to.charge(EnergyCategory::kEccLogic,
+              tech_.periph.ecc_correct_per_event *
+                  static_cast<double>(events));
   }
 
   /// Full per-access protection accounting: one checker pass per array
@@ -169,33 +175,34 @@ class EnergyPolicyBase : public AccessSink {
   /// read, fill write) plus the campaign's correction events. Policies
   /// whose extra array operations are not visible on the event (CNT
   /// re-encodes, FIFO drains) charge those separately.
-  void charge_ecc(const AccessEvent& ev) {
+  void charge_ecc(EnergyLedger& to, const AccessEvent& ev) const {
     if (!prot_.enabled()) return;
     switch (ev.kind) {
       case AccessKind::kReadHit:
-        charge_ecc_read();
+        charge_ecc_read(to);
         break;
       case AccessKind::kWriteHit:
-        charge_ecc_write();
+        charge_ecc_write(to);
         break;
       case AccessKind::kReadMissFill:
       case AccessKind::kWriteMissFill:
-        if (ev.evicted_valid && ev.evicted_dirty) charge_ecc_read();
-        charge_ecc_write();
+        if (ev.evicted_valid && ev.evicted_dirty) charge_ecc_read(to);
+        charge_ecc_write(to);
         break;
       case AccessKind::kWriteAround:
         return;
     }
-    charge_ecc_events(ev.fault);
+    charge_ecc_events(to, ev.fault);
   }
 
   /// Invoke fn(bit_lo, bit_hi) for every dirty 8-byte word of the evicted
   /// victim (sectored writebacks narrow the mask; otherwise it covers the
-  /// whole line). Returns the number of dirty words visited.
+  /// whole line). The mask has 64 bits, so at most 64 words are visited.
+  /// Returns the number of dirty words visited.
   template <typename Fn>
   // cnt-lint: nodiscard-ok -- the visited count is auxiliary telemetry
   usize for_each_dirty_word(const AccessEvent& ev, Fn&& fn) const {
-    const usize words = array_.geometry().line_bytes / 8;
+    const usize words = std::min<usize>(array_.geometry().line_bytes / 8, 64);
     usize visited = 0;
     for (usize w = 0; w < words; ++w) {
       if ((ev.evicted_dirty_words >> w) & 1u) {

@@ -91,7 +91,8 @@ struct AccessEvent {
   /// Version of the stored line_after bytes. The cache draws versions from
   /// one counter per cache, starting at 1, and gives a line a new one
   /// whenever its bytes may have changed: a fill, a store, or an array read
-  /// whose fault hook reported flips. Two events of one cache with the
+  /// whose fault hook reported silent flips (corrected and detected flips
+  /// are repaired in place). Two events of one cache with the
   /// same nonzero version therefore carry identical line_after bytes and
   /// ones profiles, so a sink may reuse whatever it derived from them.
   /// 0 means "unknown, never reuse": kWriteAround events and synthetic

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
+
+#include "common/cli.hpp"
 
 namespace cnt {
 
@@ -154,11 +158,29 @@ i64 Config::get_int(const std::string& key, i64 fallback) const {
 }
 
 u64 Config::get_uint(const std::string& key, u64 fallback) const {
-  const i64 v = get_int(key, static_cast<i64>(fallback));
-  if (v < 0) {
-    bad_value(key, *get(key), "unsigned", "the value must be >= 0");
+  const auto v = get(key);
+  if (!v) return fallback;
+  // Signs as std::stoll reads them: a leading '+' is allowed, and so is
+  // a negative zero.
+  std::string_view text = *v;
+  const bool minus = text.starts_with('-');
+  if (minus || text.starts_with('+')) text.remove_prefix(1);
+  if (text.empty() || !std::ranges::all_of(text, [](char c) {
+        return c >= '0' && c <= '9';
+      })) {
+    bad_value(key, *v, "integer", "use a plain base-10 integer");
   }
-  return static_cast<u64>(v);
+  const auto out = cli::parse_u64(text);
+  if (minus && (!out || *out != 0)) {
+    bad_value(key, *v, "unsigned", "the value must be >= 0");
+  }
+  if (!out) {  // digits only, yet refused: past 2^64 - 1
+    throw ValueError(Errc::kRange,
+                     "key '" + key + "' has out-of-range value '" + *v + "'")
+        .hint("use at most " +
+              std::to_string(std::numeric_limits<u64>::max()));
+  }
+  return *out;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {

@@ -53,6 +53,9 @@ class Config {
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] i64 get_int(const std::string& key, i64 fallback) const;
+  /// Decimal digits with an optional '+', at most 2^64 - 1 ('-0' reads
+  /// as 0). A negative value or junk is ValueError (Errc::kValue); a value
+  /// past 2^64 - 1 is Errc::kRange naming the key.
   [[nodiscard]] u64 get_uint(const std::string& key, u64 fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;

@@ -48,6 +48,8 @@ struct ArrayGeometry {
   [[nodiscard]] usize capacity_bytes() const noexcept {
     return lines() * line_bytes;
   }
+  friend bool operator==(const ArrayGeometry&,
+                         const ArrayGeometry&) = default;
 };
 
 /// Per-access peripheral energies for a fixed geometry + technology.

@@ -6,6 +6,7 @@
 // bits among the L bits touched.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -47,25 +48,58 @@ namespace cnt {
   return write_energy_counts(e, data.size() * 8, popcount(data));
 }
 
+/// How a field's logical bits sit in the array: as-is, complemented, or
+/// -- the per-access oracle -- in whichever of the two images is cheaper
+/// for the access at hand.
+enum class FieldStore : u8 { kRaw, kInverted, kCheaper };
+
+/// Energy of a `width`-bit field holding `ones` logical '1's stored as
+/// `store`; `counts` is read_ or write_energy_counts bound to a cell.
+template <class Counts>
+[[nodiscard]] constexpr Energy stored_energy(Counts counts, usize width,
+                                             usize ones, FieldStore store) {
+  switch (store) {
+    case FieldStore::kRaw:
+      return counts(width, ones);
+    case FieldStore::kInverted:
+      return counts(width, width - ones);
+    case FieldStore::kCheaper:
+      break;
+  }
+  return std::min(counts(width, ones), counts(width, width - ones));
+}
+
 /// Precomputed read/write energies for a fixed field width, indexed by the
-/// stored '1' count. Entries are produced by read_/write_energy_counts
-/// themselves, so a lookup returns the bit-identical double the formula
-/// would -- the table only removes the per-call conversions and multiplies
-/// from loops that price one fixed-width field per iteration (partitions,
-/// dirty words).
+/// field's logical '1' count and stored as `store` (kRaw: the logical
+/// count is the stored count). Entries are produced by
+/// read_/write_energy_counts themselves, so a lookup returns the
+/// bit-identical double the formula would -- the table only removes the
+/// per-call conversions and multiplies from loops that price one
+/// fixed-width field per iteration (partitions, dirty words).
 class EnergyByOnes {
  public:
   EnergyByOnes() = default;
-  EnergyByOnes(const BitEnergies& e, usize width)
+  EnergyByOnes(const BitEnergies& e, usize width,
+               FieldStore store = FieldStore::kRaw)
       : read_(width + 1), write_(width + 1) {
+    const auto rd = [&e](usize w, usize n) {
+      return read_energy_counts(e, w, n);
+    };
+    const auto wr = [&e](usize w, usize n) {
+      return write_energy_counts(e, w, n);
+    };
     for (usize ones = 0; ones <= width; ++ones) {
-      read_[ones] = read_energy_counts(e, width, ones);
-      write_[ones] = write_energy_counts(e, width, ones);
+      read_[ones] = stored_energy(rd, width, ones, store);
+      write_[ones] = stored_energy(wr, width, ones, store);
     }
   }
 
   [[nodiscard]] Energy read(usize ones) const noexcept { return read_[ones]; }
   [[nodiscard]] Energy write(usize ones) const noexcept { return write_[ones]; }
+  /// The read entries, for a caller that keeps the table's address.
+  [[nodiscard]] const Energy* read_table() const noexcept {
+    return read_.data();
+  }
 
  private:
   std::vector<Energy> read_;

@@ -47,6 +47,7 @@ struct BitEnergies {
   [[nodiscard]] constexpr Energy write_delta() const noexcept {
     return wr1 - wr0;
   }
+  friend bool operator==(const BitEnergies&, const BitEnergies&) = default;
 };
 
 /// Peripheral-circuit parameters for the CACTI-lite array model and the
@@ -83,6 +84,9 @@ struct PeripheralParams {
   /// Static leakage power per cell, in watts (used by the leakage report;
   /// dynamic-energy experiments follow the paper and exclude it).
   double leakage_per_cell_w = 2.0e-12;
+
+  friend bool operator==(const PeripheralParams&,
+                         const PeripheralParams&) = default;
 };
 
 /// A complete technology description for one cache implementation.
@@ -107,6 +111,8 @@ struct TechParams {
   /// comparison. Per-bit energies are nearly value-symmetric (differential
   /// bitlines), and 2-3x the CNFET magnitudes ("power-hungry CMOS cache").
   [[nodiscard]] static TechParams cmos();
+
+  friend bool operator==(const TechParams&, const TechParams&) = default;
 };
 
 }  // namespace cnt

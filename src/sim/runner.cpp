@@ -60,9 +60,9 @@ void pull_batches(TraceSource& source, Replay&& replay) {
   }
 }
 
-// What one cache carries: its fault campaign and the energy policies of a
-// PolicySet, attached in report order. The only place that attaches
-// energy policies to a cache.
+// What one cache carries: its fault campaign, one ComparatorSink pricing
+// every comparator of a PolicySet in one pass, and the CNT policy. The
+// only place that attaches energy policies to a cache.
 class Observers {
  public:
   Observers(Cache& cache, const SimConfig& cfg, PolicySet set)
@@ -96,33 +96,42 @@ class Observers {
     // comparison isolates the encoding scheme.
     const WriteGranularity wg = cfg.cnt.write_granularity;
 
-    auto attach = [&](std::unique_ptr<EnergyPolicyBase> p) {
-      p->set_protection(p.get() == cnt_ ? cnt_prot : data_prot);
-      cache.add_sink(*p);
-      policies_.push_back(std::move(p));
+    auto comparators = std::make_unique<ComparatorSink>();
+    auto compare = [&](std::unique_ptr<ComparatorPolicy> p) {
+      p->set_protection(data_prot);
+      comparators->add(std::move(p));
     };
     if (set.cmos) {
-      attach(std::make_unique<PlainPolicy>(std::string(kPolicyCmos),
-                                           cfg.cmos_tech, data_geom, wg));
+      compare(std::make_unique<PlainPolicy>(std::string(kPolicyCmos),
+                                            cfg.cmos_tech, data_geom, wg));
     }
     if (set.baseline) {
-      attach(std::make_unique<PlainPolicy>(std::string(kPolicyBaseline),
-                                           cfg.tech, data_geom, wg));
+      compare(std::make_unique<PlainPolicy>(std::string(kPolicyBaseline),
+                                            cfg.tech, data_geom, wg));
     }
     if (set.static_inv) {
-      attach(std::make_unique<StaticInvertPolicy>(std::string(kPolicyStatic),
-                                                  cfg.tech, data_geom, wg));
+      compare(std::make_unique<StaticInvertPolicy>(std::string(kPolicyStatic),
+                                                   cfg.tech, data_geom, wg));
+    }
+    // The CNT policy reports between static_inv and ideal.
+    cnt_slot_ = comparators->size();
+    if (set.ideal) {
+      compare(std::make_unique<IdealPolicy>(std::string(kPolicyIdeal),
+                                            cfg.tech, data_geom,
+                                            cfg.cnt.partitions, wg));
+    }
+    // The comparators see each event before the CNT policy does; behind
+    // it they measured slower end to end (docs/performance.md).
+    if (comparators->size() != 0) {
+      comparators_ = std::move(comparators);
+      cache.add_sink(comparators_->entry());
     }
     if (set.cnt) {
-      auto p = std::make_unique<CntPolicy>(std::string(kPolicyCnt), cfg.tech,
-                                           cnt_geom, cfg.cnt);
-      p->attach_direction_hook(campaign_.get());
-      cnt_ = p.get();
-      attach(std::move(p));
-    }
-    if (set.ideal) {
-      attach(std::make_unique<IdealPolicy>(std::string(kPolicyIdeal), cfg.tech,
-                                           data_geom, cfg.cnt.partitions, wg));
+      cnt_ = std::make_unique<CntPolicy>(std::string(kPolicyCnt), cfg.tech,
+                                         cnt_geom, cfg.cnt);
+      cnt_->attach_direction_hook(campaign_.get());
+      cnt_->set_protection(cnt_prot);
+      cache.add_sink(*cnt_);
     }
   }
 
@@ -132,14 +141,20 @@ class Observers {
     SimResult res;
     res.workload = workload;
     res.cache_stats = cache_->stats();
-    for (const auto& p : policies_) {
-      PolicyResult& pr = res.policies.emplace_back();
-      pr.name = p->name();
-      pr.ledger = p->ledger();
-      if (p.get() == cnt_) {
+    const usize n = comparators_ ? comparators_->size() : 0;
+    for (usize i = 0; i <= n; ++i) {
+      if (i == cnt_slot_ && cnt_) {
+        PolicyResult& pr = res.policies.emplace_back();
+        pr.name = cnt_->name();
+        pr.ledger = cnt_->ledger();
         pr.has_cnt_stats = true;
         pr.cnt_stats = cnt_->stats();
         pr.queue_stats = cnt_->queue_stats();
+      }
+      if (i < n) {
+        PolicyResult& pr = res.policies.emplace_back();
+        pr.name = comparators_->name(i);
+        pr.ledger = comparators_->ledger(i);
       }
     }
     if (campaign_) {
@@ -152,8 +167,9 @@ class Observers {
  private:
   const Cache* cache_;
   std::unique_ptr<FaultCampaign> campaign_;
-  std::vector<std::unique_ptr<EnergyPolicyBase>> policies_;
-  const CntPolicy* cnt_ = nullptr;
+  std::unique_ptr<ComparatorSink> comparators_;  ///< null without comparators
+  std::unique_ptr<CntPolicy> cnt_;
+  usize cnt_slot_ = 0;  ///< comparators reported before the CNT policy
 };
 
 }  // namespace

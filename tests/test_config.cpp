@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+
 namespace cnt {
 namespace {
 
@@ -64,6 +66,50 @@ TEST(Config, MalformedValuesThrow) {
   EXPECT_THROW((void)c.get_bool("t.b", false), std::invalid_argument);
   EXPECT_THROW((void)c.get_uint("t.u", 0), std::invalid_argument);
   EXPECT_THROW((void)c.get_size("t.sz", 0), std::invalid_argument);
+}
+
+// get_uint reads the whole u64 range: 2^64 - 1 parses, 2^64 is a range
+// error naming the key, a negative or empty value is refused, and a
+// fallback at or above 2^63 comes back as is when the key is absent. The
+// signs std::stoll took before still read: '+5' is 5 and '-0' is 0.
+TEST(Config, UnsignedCoversTheWholeU64Range) {
+  const auto c = Config::parse_string(
+      "[fault]\nseed = 18446744073709551615\nover = 18446744073709551616\n"
+      "neg = -1\nempty =\nplus = +5\nnegzero = -0\nsigns = +-5\n");
+  EXPECT_EQ(c.get_uint("fault.seed", 0), 18446744073709551615ULL);
+  EXPECT_EQ(c.get_uint("fault.plus", 0), 5u);
+  EXPECT_EQ(c.get_uint("fault.negzero", 7), 0u);
+  EXPECT_THROW((void)c.get_uint("fault.signs", 0), ValueError);
+  try {
+    (void)c.get_uint("fault.over", 0);
+    FAIL() << "must throw";
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.info().code, Errc::kRange);
+    EXPECT_EQ(e.info().message,
+              "key 'fault.over' has out-of-range value "
+              "'18446744073709551616'");
+    EXPECT_EQ(e.info().hint, "use at most 18446744073709551615");
+  }
+  try {
+    (void)c.get_uint("fault.neg", 0);
+    FAIL() << "must throw";
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.info().code, Errc::kValue);
+    EXPECT_EQ(e.info().message,
+              "key 'fault.neg' has invalid unsigned value '-1'");
+    EXPECT_EQ(e.info().hint, "the value must be >= 0");
+  }
+  try {
+    (void)c.get_uint("fault.empty", 0);
+    FAIL() << "must throw";
+  } catch (const ValueError& e) {
+    EXPECT_EQ(e.info().code, Errc::kValue);
+    EXPECT_EQ(e.info().message,
+              "key 'fault.empty' has invalid integer value ''");
+  }
+  const u64 big = (u64{1} << 63) + 5;
+  EXPECT_EQ(c.get_uint("fault.absent", big), big);
+  EXPECT_EQ(c.get_uint("fault.absent", ~u64{0}), ~u64{0});
 }
 
 TEST(Config, SyntaxErrorsThrowWithLine) {

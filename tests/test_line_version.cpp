@@ -30,9 +30,10 @@ usize word_ones(std::span<const u8> line, usize w) {
 /// against it:
 ///  * the same nonzero version on the same line means identical
 ///    line_after bytes and ones profile;
-///  * a store, a fill or a read that flipped bits carries a version newer
-///    than any seen before, and a read that flipped nothing keeps the
-///    line's version;
+///  * a store, a fill or a read with silent flips carries a version newer
+///    than any seen before, and a read with no silent flip (nothing
+///    flipped, or every flip corrected or detected) keeps the line's
+///    version;
 ///  * a version names one line only, and write-arounds carry 0;
 ///  * the profiles always describe line_after and a dirty victim's
 ///    line_before.
@@ -66,7 +67,8 @@ class VersionRecorder final : public AccessSink {
     EXPECT_EQ(owner->second, line) << "version on two lines";
 
     Seen& seen = seen_[line];
-    const bool moves = ev.kind != AccessKind::kReadHit || ev.fault.flips != 0;
+    const bool moves =
+        ev.kind != AccessKind::kReadHit || ev.fault.silent != 0;
     if (moves) {
       EXPECT_GT(ev.line_version, newest_);
       ++moved;
@@ -79,7 +81,9 @@ class VersionRecorder final : public AccessSink {
         EXPECT_TRUE(std::ranges::equal(ev.ones_after, seen.profile));
       }
     }
-    if (ev.kind == AccessKind::kReadHit && ev.fault.flips != 0) ++flipped_reads;
+    if (ev.kind == AccessKind::kReadHit && ev.fault.flips != 0) {
+      ++(ev.fault.silent != 0 ? silent_reads : repaired_reads);
+    }
     newest_ = std::max(newest_, ev.line_version);
     seen.version = ev.line_version;
     seen.bytes.assign(ev.line_after.begin(), ev.line_after.end());
@@ -89,7 +93,8 @@ class VersionRecorder final : public AccessSink {
   u64 events = 0;
   u64 moved = 0;
   u64 kept = 0;
-  u64 flipped_reads = 0;
+  u64 silent_reads = 0;    ///< read hits left with silent flips
+  u64 repaired_reads = 0;  ///< read hits whose every flip was repaired
   u64 dirty_victims = 0;
 
  private:
@@ -148,7 +153,14 @@ TEST(LineVersion, ContractHoldsUnderAFaultCampaign) {
       cache.read_line(0, line);
       EXPECT_EQ(recorder.events, 20002u);
       EXPECT_GT(recorder.kept, 1000u);
-      EXPECT_GT(recorder.flipped_reads, 0u);
+      // Unprotected flips are all silent; a protected read whose flips
+      // were all corrected or detected keeps the line's version.
+      if (scheme == ProtectionScheme::kNone) {
+        EXPECT_GT(recorder.silent_reads, 0u);
+        EXPECT_EQ(recorder.repaired_reads, 0u);
+      } else {
+        EXPECT_GT(recorder.repaired_reads, 0u);
+      }
       EXPECT_EQ(recorder.dirty_victims > 0, wp == WritePolicy::kWriteBack);
     }
   }
